@@ -59,26 +59,30 @@ class AttributeProbe:
         return {a: hits[a] / max(1, len(videos)) for a in attrs}
 
 
+def _fit_softmax(x: np.ndarray, y: np.ndarray, classes: int, *, steps: int,
+                 lr: float) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax regression from zero weights with AdamW; returns (W [F, C], b [C])."""
+    w = nx.Parameter(np.zeros((x.shape[1], classes), dtype=np.float32))
+    b = nx.Parameter(np.zeros(classes, dtype=np.float32))
+    opt = nx.AdamW([w, b], lr=lr, weight_decay=1e-4)
+    xt = nx.Tensor(x)
+    for _ in range(steps):
+        opt.zero_grad()
+        loss = nx.cross_entropy(nx.add(nx.matmul(xt, w.tensor), b.tensor), y)
+        loss.backward()
+        opt.step()
+    return w.data.copy(), b.data.copy()
+
+
 def train_probe(encoder: pc.FrameEncoder, *, n_train: int = 600, frames: int = 8,
                 steps: int = 300, lr: float = 0.1, seed: int = 515) -> AttributeProbe:
     rng = np.random.default_rng(seed)
     specs = [sd.random_spec(rng) for _ in range(n_train)]
     feats = np.stack([probe_features(encoder, sd.render(s, frames)) for s in specs])
-    x = nx.Tensor(feats)
     probe = AttributeProbe(encoder=encoder)
     for attr, names in PROBE_ATTRS.items():
         targets = np.array([names.index(getattr(s, attr)) for s in specs])
-        w = nx.Parameter(np.zeros((feats.shape[1], len(names)), dtype=np.float32))
-        b = nx.Parameter(np.zeros(len(names), dtype=np.float32))
-        w.name, b.name = f"probe.{attr}.w", f"probe.{attr}.b"
-        opt = nx.AdamW([w, b], lr=lr, weight_decay=1e-4)
-        for _ in range(steps):
-            opt.zero_grad()
-            logits = nx.add(nx.matmul(x, w.tensor), b.tensor)
-            loss = nx.cross_entropy(logits, targets)
-            loss.backward()
-            opt.step()
-        probe.weights[attr] = (w.data.copy(), b.data.copy())
+        probe.weights[attr] = _fit_softmax(feats, targets, len(names), steps=steps, lr=lr)
     return probe
 
 
@@ -109,15 +113,6 @@ def linear_probe_shape_accuracy(encoder: pc.FrameEncoder, *, n_train: int = 400,
 
     xtr, ytr = batch(n_train)
     xte, yte = batch(n_test)
-    w = nx.Parameter(np.zeros((xtr.shape[1], 3), dtype=np.float32))
-    b = nx.Parameter(np.zeros(3, dtype=np.float32))
-    w.name, b.name = "probe.w", "probe.b"
-    opt = nx.AdamW([w, b], lr=lr, weight_decay=1e-4)
-    xt = nx.Tensor(xtr)
-    for _ in range(steps):
-        opt.zero_grad()
-        loss = nx.cross_entropy(nx.add(nx.matmul(xt, w.tensor), b.tensor), ytr)
-        loss.backward()
-        opt.step()
-    pred = np.argmax(xte @ w.data + b.data, axis=1)
+    w, b = _fit_softmax(xtr, ytr, len(sd.SHAPES), steps=steps, lr=lr)
+    pred = np.argmax(xte @ w + b, axis=1)
     return float((pred == yte).mean())

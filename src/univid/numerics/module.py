@@ -63,16 +63,9 @@ class Module:
     def parameters(self) -> list[Parameter]:
         return list(self.named_parameters())
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.tensor.grad = np.zeros_like(p.tensor.data)
-
     def freeze(self) -> None:
         for p in self.parameters():
             p.set_trainable(False)
-
-    def num_params(self) -> int:
-        return sum(p.tensor.size for p in self.parameters())
 
 
 class ModuleList(Module):

@@ -15,7 +15,8 @@ class MissingStateError(NumericsError):
 class AdamW:
     """Moments are kept only for parameters that were trainable at construction
     (or at the last `rebuild`). Stepping a trainable parameter without state is
-    an error; frozen parameters are skipped and stay bitwise unchanged."""
+    an error; frozen parameters are skipped and stay bitwise unchanged.
+    State is kept by position in `params`; `state_dict` keys it by unique name."""
 
     def __init__(self, params: list[Parameter], lr: float = 1e-3, betas=(0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.01):
@@ -25,15 +26,13 @@ class AdamW:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.moments: list[tuple[np.ndarray, np.ndarray] | None] = []
         self.rebuild()
 
     def rebuild(self) -> None:
         """(Re)create zero moments for the currently trainable parameters."""
-        self.moments = {
-            p.name: (np.zeros_like(p.data), np.zeros_like(p.data))
-            for p in self.params if p.trainable
-        }
+        self.moments = [(np.zeros_like(p.data), np.zeros_like(p.data)) if p.trainable else None
+                        for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -44,15 +43,15 @@ class AdamW:
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for p in self.params:
+        for i, (p, state) in enumerate(zip(self.params, self.moments)):
             if not p.trainable:
                 continue
-            if p.name not in self.moments:
-                raise MissingStateError(f"no optimizer state for trainable parameter {p.name!r}")
+            if state is None:
+                raise MissingStateError(f"no optimizer state for trainable parameter #{i} {p.name!r}")
             g = p.tensor.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            m, v = self.moments[p.name]
+            m, v = state
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
@@ -66,6 +65,13 @@ class AdamW:
 
     # -- checkpoint support ----------------------------------------------
 
+    def _names(self) -> list[str]:
+        names = [p.name for p in self.params]
+        dups = sorted({n for n in names if names.count(n) > 1})
+        if dups:
+            raise NumericsError(f"duplicate parameter names {dups}; state_dict keys moments by name")
+        return names
+
     def state_dict(self) -> dict:
         return {
             "step_count": self.step_count,
@@ -73,13 +79,17 @@ class AdamW:
             "betas": (self.beta1, self.beta2),
             "eps": self.eps,
             "weight_decay": self.weight_decay,
-            "moments": {k: (m.copy(), v.copy()) for k, (m, v) in self.moments.items()},
+            "moments": {n: (s[0].copy(), s[1].copy()) for n, s in zip(self._names(), self.moments)
+                        if s is not None},
         }
 
     def load_state_dict(self, state: dict) -> None:
+        names = self._names()
         self.step_count = int(state["step_count"])
         self.lr = float(state["lr"])
         self.beta1, self.beta2 = (float(b) for b in state["betas"])
         self.eps = float(state["eps"])
         self.weight_decay = float(state["weight_decay"])
-        self.moments = {k: (np.array(m), np.array(v)) for k, (m, v) in state["moments"].items()}
+        saved = state["moments"]
+        self.moments = [(np.array(saved[n][0]), np.array(saved[n][1])) if n in saved else None
+                        for n in names]

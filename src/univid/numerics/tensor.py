@@ -77,9 +77,11 @@ def finite_checks(enabled: bool):
 
 def _check_finite(data: np.ndarray, op: str) -> None:
     if _finite_checks:
-        # single-pass probe: the float64 sum is non-finite iff data holds
-        # nan/inf (float32 finites cannot overflow a float64 accumulator)
-        if not np.isfinite(data.sum(dtype=np.float64)):
+        # float32: single-pass probe, the float64 sum is non-finite iff data
+        # holds nan/inf (float32 finites cannot overflow a float64 accumulator).
+        # float64: large finites can overflow that sum, so check exactly.
+        exact = data.dtype == np.float64
+        if not (np.isfinite(data).all() if exact else np.isfinite(data.sum(dtype=np.float64))):
             raise NonFiniteError(op)
 
 
@@ -143,9 +145,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self._op})"
@@ -626,10 +625,8 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     out_data = (xc * inv).astype(a.dtype)
 
     def bwd(g):
-        n = a.shape[-1]
         gx = inv * (g - g.mean(axis=-1, keepdims=True) - out_data * (g * out_data).mean(axis=-1, keepdims=True))
         a._accumulate(gx.astype(a.dtype))
-        del n
 
     return Tensor._from_op(out_data, (a,), "layer_norm", bwd)
 

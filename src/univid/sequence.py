@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
+
+from .codec import DecodeError, Reader, Writer
 
 TEXT_VOCAB = 128
 BOI = 128
@@ -80,12 +82,6 @@ class SpanContentError(ParseError):
     pass
 
 
-class DecodeError(SequenceError):
-    def __init__(self, offset: int, message: str):
-        super().__init__(f"byte {offset}: {message}")
-        self.offset = offset
-
-
 # -- elements -----------------------------------------------------------------
 
 
@@ -108,9 +104,6 @@ class VisualToken:
 
     def __repr__(self):
         return f"VisualToken(dim={self.vector.shape[0]})"
-
-
-SequenceElement = Union[TextToken, VisualToken]
 
 
 @dataclass(frozen=True)
@@ -187,8 +180,7 @@ def pack_parts(parts: list, *, video_frames: int = 8) -> MultimodalSequence:
             opener, closer = (BOI, EOI) if tag == "image" else (BOV, EOV)
             spans.append(Span(tag, len(elements), emb.shape[0]))
             elements.append(TextToken(opener))
-            for row in emb:
-                elements.append(VisualToken(row))
+            elements.extend(VisualToken(row) for row in emb)
             elements.append(TextToken(closer))
         else:
             raise PackError(f"unknown part tag {tag!r}")
@@ -198,10 +190,7 @@ def pack_parts(parts: list, *, video_frames: int = 8) -> MultimodalSequence:
 def pack(text_ids: list[int], visual_blocks: list[tuple[str, np.ndarray]] | None = None,
          *, video_frames: int = 8) -> MultimodalSequence:
     """Text followed by visual blocks, each wrapped in opener/closer tokens."""
-    parts: list = [("text", text_ids)]
-    for kind, emb in visual_blocks or []:
-        parts.append((kind, emb))
-    return pack_parts(parts, video_frames=video_frames)
+    return pack_parts([("text", text_ids), *(visual_blocks or [])], video_frames=video_frames)
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -228,12 +217,11 @@ def parse(seq: MultimodalSequence | list, *,
     open_pos = 0
     span_vectors: list = []
 
-    def flush_run(end_pos):
+    def flush_run():
         nonlocal run
         if run:
             text_segments.append((run_start, run))
             run = []
-        del end_pos
 
     for pos, el in enumerate(elements):
         if isinstance(el, TextToken):
@@ -241,7 +229,7 @@ def parse(seq: MultimodalSequence | list, *,
             if tid in _OPENERS:
                 if open_kind is not None:
                     raise NestedSpanError(pos, f"opener inside an open {open_kind} span")
-                flush_run(pos)
+                flush_run()
                 open_kind = _OPENERS[tid]
                 open_pos = pos
                 span_vectors = []
@@ -275,7 +263,7 @@ def parse(seq: MultimodalSequence | list, *,
             raise ParseError(pos, f"unknown element type {type(el).__name__}")
     if open_kind is not None:
         raise UnmatchedOpenerError(open_pos, f"{open_kind} span never closed")
-    flush_run(len(elements))
+    flush_run()
     return ParsedSequence(text_segments=text_segments, blocks=blocks, spans=spans)
 
 
@@ -287,69 +275,44 @@ def validate(seq: MultimodalSequence, **kw) -> MultimodalSequence:
 
 # -- wire format -------------------------------------------------------------------
 #
-# little-endian:
-#   magic  4 bytes  b"MMSQ"
-#   version u16     1
+# A `codec` envelope (magic b"MMSQ", version 2, CRC32 trailer) around:
 #   dim     u16     visual vector width
 #   count   u32     element count
-#   elements: tag u8 (0 = text, 1 = visual)
-#     text:   id u32
-#     visual: dim * float32
+#   tags    count * u8 (0 = text, 1 = visual), in element order
+#   ids     u32 per text element, in order
+#   vectors dim * float32 per visual element, in order
 #
-# An empty sequence is exactly the 12-byte header.
+# The header (magic, version, dim, count) is HEADER_SIZE bytes and the first
+# tag sits right after it. An empty sequence is the header plus the 4-byte
+# CRC trailer.
 
 MAGIC = b"MMSQ"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 HEADER_SIZE = 12
+_DIM_COUNT = struct.Struct("<HI")
 
 
 def serialize(seq: MultimodalSequence) -> bytes:
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<HHI", FORMAT_VERSION, VISUAL_DIM, len(seq.elements))
-    for el in seq.elements:
-        if isinstance(el, TextToken):
-            buf += struct.pack("<BI", 0, el.id)
-        else:
-            buf += struct.pack("<B", 1)
-            buf += el.vector.astype("<f4").tobytes()
-    return bytes(buf)
+    els = seq.elements
+    visual = [isinstance(el, VisualToken) for el in els]
+    w = Writer(MAGIC, FORMAT_VERSION)
+    w.pack(_DIM_COUNT, VISUAL_DIM, len(els))
+    w.array(visual, "u1")
+    w.array([el.id for el, v in zip(els, visual) if not v], "<u4")
+    w.array([el.vector for el, v in zip(els, visual) if v], "<f4")
+    return w.finish()
 
 
 def deserialize(data: bytes) -> MultimodalSequence:
-    if len(data) < HEADER_SIZE:
-        raise DecodeError(len(data), "truncated header")
-    if data[:4] != MAGIC:
-        raise DecodeError(0, f"bad magic {data[:4]!r}")
-    version, dim, count = struct.unpack_from("<HHI", data, 4)
-    if version != FORMAT_VERSION:
-        raise DecodeError(4, f"unsupported version {version}")
+    r = Reader(data, MAGIC, FORMAT_VERSION)
+    dim, count = r.unpack(_DIM_COUNT)
     if dim != VISUAL_DIM:
         raise DecodeError(6, f"visual dim {dim} does not match configured {VISUAL_DIM}")
-    off = HEADER_SIZE
-    elements: list = []
-    vec_bytes = 4 * dim
-    for _ in range(count):
-        if off >= len(data):
-            raise DecodeError(off, "truncated payload")
-        tag = data[off]
-        off += 1
-        if tag == 0:
-            if off + 4 > len(data):
-                raise DecodeError(off, "truncated text token")
-            (tid,) = struct.unpack_from("<I", data, off)
-            off += 4
-            if tid >= VOCAB:
-                raise DecodeError(off - 4, f"token id {tid} out of vocabulary")
-            elements.append(TextToken(int(tid)))
-        elif tag == 1:
-            if off + vec_bytes > len(data):
-                raise DecodeError(off, "truncated visual token")
-            vec = np.frombuffer(data, dtype="<f4", count=dim, offset=off).copy()
-            off += vec_bytes
-            elements.append(VisualToken(vec))
-        else:
-            raise DecodeError(off - 1, f"unknown element tag {tag}")
-    if off != len(data):
-        raise DecodeError(off, f"{len(data) - off} trailing bytes")
-    return MultimodalSequence(elements=elements)
+    tags = r.indices("u1", count, 2, "element tag")
+    n_visual = int(np.count_nonzero(tags))
+    ids = r.indices("<u4", count - n_visual, VOCAB, "token id")
+    vectors = r.array("<f4", n_visual * dim).astype(np.float32).reshape(n_visual, dim)
+    r.finish()
+    text = map(TextToken, ids.tolist())
+    visual = map(VisualToken, vectors)
+    return MultimodalSequence(elements=[next(visual) if t else next(text) for t in tags.tolist()])

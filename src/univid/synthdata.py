@@ -9,6 +9,7 @@ fully determine its video.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import struct
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sequence import DecodeError
+from . import codec
 
 CANVAS = 32
 
@@ -61,9 +62,6 @@ class SceneSpec:
 
     def without_object(self) -> "SceneSpec":
         return dataclasses.replace(self, has_object=False)
-
-    def key(self) -> tuple:
-        return (self.shape, self.color, self.motion, self.background, self.size, self.seed, self.has_object)
 
 
 def random_spec(rng: np.random.Generator) -> SceneSpec:
@@ -326,9 +324,8 @@ class Sample:
         if self.kind not in TASKS:
             raise SynthError(f"unknown task kind {self.kind}")
         if self.kind in ("image_understanding", "video_understanding"):
-            _, answer = make_qa(self.spec, which=_question_kind(self.question, self.spec))
-            if answer != self.answer:
-                raise SynthError(f"answer {self.answer!r} does not match spec {self.spec}")
+            if (self.question, self.answer) not in [make_qa(self.spec, which=w) for w in QUESTIONS]:
+                raise SynthError(f"question {self.question!r} / answer {self.answer!r} do not match spec {self.spec}")
         if self.caption_detailed:
             parsed = parse_caption(self.caption_detailed)
             for field in ("shape", "color", "motion", "background", "size"):
@@ -337,24 +334,9 @@ class Sample:
         if self.kind in ("image_edit", "video_edit"):
             if self.preserved_mask is None:
                 raise SynthError("edit sample missing preserved mask")
-            src = self.source
-            tgt = self.target
-            pm = self.preserved_mask
-            diff = np.abs(src - tgt).max(axis=1)  # max over channels
-            if (diff[pm] > 0).any():
+            diff = np.abs(self.source - self.target).max(axis=1)  # max over channels
+            if (diff[self.preserved_mask] > 0).any():
                 raise SynthError("edit pair differs inside the preserved region")
-
-
-def _question_kind(question: str, spec: SceneSpec) -> str:
-    if question.startswith("what color"):
-        return "color"
-    if question.startswith("what shape"):
-        return "shape"
-    if question.startswith("which direction"):
-        return "motion"
-    if question.startswith("what is the background"):
-        return "background"
-    raise SynthError(f"unknown question {question!r}")
 
 
 def build_sample(kind: str, rng: np.random.Generator, frames: int = 8) -> Sample:
@@ -388,80 +370,68 @@ def sample_mixture(n: int, ratios=TASK_RATIOS, *, rng: np.random.Generator,
 
 # -- shards -----------------------------------------------------------------------
 #
-# Same conventions as the sequence wire format: little-endian, magic + version
-# header, tagged fields. One binary file per shard plus a JSON manifest.
+# One binary file per shard plus a JSON manifest. The file is a `codec`
+# envelope (magic b"UVSH", version 2, CRC32 trailer) around:
+#   count   u32     number of samples
+#   samples, each:
+#     present u16   bit i set when the i-th `Sample` field, in declaration
+#                   order, is stored (not None and not "")
+#     the present fields in declaration order, each stored as
+#       text:   u32 byte length, UTF-8 bytes
+#       spec:   u8 indices of shape, color, motion, background, size and
+#               has_object into their name tables, then seed u64
+#       tensor: codec n-d float32 array
+#       mask:   codec n-d bit-packed boolean array
+#
+# The field order and storage are part of the format: adding, removing or
+# reordering a `Sample` field changes it and needs a SHARD_VERSION bump.
 
 SHARD_MAGIC = b"UVSH"
-SHARD_VERSION = 1
+SHARD_VERSION = 2
 
-_F_TEXT, _F_TENSOR, _F_MASK, _F_SPEC = 0, 1, 2, 3
-
-
-def _pack_spec(spec: SceneSpec) -> bytes:
-    return struct.pack("<BBBBBQB", SHAPES.index(spec.shape), COLOR_NAMES.index(spec.color),
-                       MOTION_NAMES.index(spec.motion), BACKGROUND_NAMES.index(spec.background),
-                       SIZE_NAMES.index(spec.size), spec.seed, int(spec.has_object))
+_SPEC = struct.Struct("<6BQ")
+_SPEC_TABLES = (SHAPES, COLOR_NAMES, MOTION_NAMES, BACKGROUND_NAMES, SIZE_NAMES, (False, True))
 
 
-def _unpack_spec(data: bytes, off: int) -> tuple[SceneSpec, int]:
-    sh, co, mo, bg, sz, seed, has = struct.unpack_from("<BBBBBQB", data, off)
-    return SceneSpec(SHAPES[sh], COLOR_NAMES[co], MOTION_NAMES[mo], BACKGROUND_NAMES[bg],
-                     SIZE_NAMES[sz], int(seed), bool(has)), off + struct.calcsize("<BBBBBQB")
+def _write_spec(w: codec.Writer, spec: SceneSpec) -> None:
+    values = (spec.shape, spec.color, spec.motion, spec.background, spec.size, spec.has_object)
+    w.pack(_SPEC, *(names.index(v) for names, v in zip(_SPEC_TABLES, values)), spec.seed)
 
 
-def _write_field(buf: bytearray, name: str, ftype: int, payload: bytes) -> None:
-    nb = name.encode("ascii")
-    buf += struct.pack("<BB", len(nb), ftype)
-    buf += nb
-    buf += struct.pack("<I", len(payload))
-    buf += payload
+def _read_spec(r: codec.Reader) -> SceneSpec:
+    shape, color, motion, background, size, has_object, seed = r.enums(_SPEC, _SPEC_TABLES)
+    return SceneSpec(shape, color, motion, background, size, seed, has_object)
 
 
-def _tensor_bytes(arr: np.ndarray) -> bytes:
-    head = struct.pack("<B", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + np.ascontiguousarray(arr, dtype="<f4").tobytes()
-
-
-def _mask_bytes(arr: np.ndarray) -> bytes:
-    head = struct.pack("<B", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + np.packbits(arr.astype(bool).reshape(-1)).tobytes()
-
-
-def _sample_fields(s: Sample):
-    yield "kind", _F_TEXT, s.kind.encode()
-    yield "spec", _F_SPEC, _pack_spec(s.spec)
-    for name in ("caption_short", "caption_detailed", "question", "answer", "instruction"):
-        val = getattr(s, name)
-        if val:
-            yield name, _F_TEXT, val.encode()
-    for name in ("video", "source", "target"):
-        val = getattr(s, name)
-        if val is not None:
-            yield name, _F_TENSOR, _tensor_bytes(val)
-    if s.preserved_mask is not None:
-        yield "preserved_mask", _F_MASK, _mask_bytes(s.preserved_mask)
-    if s.edited_spec is not None:
-        yield "edited_spec", _F_SPEC, _pack_spec(s.edited_spec)
+_TEXT = (codec.Writer.text, codec.Reader.text)
+_SPEC_IO = (_write_spec, _read_spec)
+_TENSOR = (codec.Writer.tensor, codec.Reader.tensor)
+_FIELD_IO = {"kind": _TEXT, "spec": _SPEC_IO, "caption_short": _TEXT, "caption_detailed": _TEXT,
+             "question": _TEXT, "answer": _TEXT, "video": _TENSOR, "source": _TENSOR,
+             "instruction": _TEXT, "target": _TENSOR,
+             "preserved_mask": (codec.Writer.bits, codec.Reader.bits), "edited_spec": _SPEC_IO}
+# (name, write, read) in declaration order; a field missing above fails here
+_SAMPLE_IO = [(f.name, *_FIELD_IO[f.name]) for f in dataclasses.fields(Sample)]
+_REQUIRED = sum(1 << i for i, f in enumerate(dataclasses.fields(Sample)) if f.default is dataclasses.MISSING)
 
 
 def write_shard(samples: list[Sample], path: str | Path, *, seed: int | None = None,
                 ratios=TASK_RATIOS) -> Path:
     path = Path(path)
-    buf = bytearray()
-    buf += SHARD_MAGIC
-    buf += struct.pack("<HI", SHARD_VERSION, len(samples))
-    counts: dict[str, int] = {}
+    w = codec.Writer(SHARD_MAGIC, SHARD_VERSION)
+    w.pack(codec.U32, len(samples))
     for s in samples:
-        counts[s.kind] = counts.get(s.kind, 0) + 1
-        fields = list(_sample_fields(s))
-        buf += struct.pack("<H", len(fields))
-        for name, ftype, payload in fields:
-            _write_field(buf, name, ftype, payload)
-    path.write_bytes(bytes(buf))
+        values = [getattr(s, name) for name, _, _ in _SAMPLE_IO]
+        present = [v is not None and not (isinstance(v, str) and not v) for v in values]
+        w.pack(codec.U16, sum(1 << i for i, p in enumerate(present) if p))
+        for (_, write, _), value, p in zip(_SAMPLE_IO, values, present):
+            if p:
+                write(w, value)
+    path.write_bytes(w.finish())
     manifest = {
         "version": SHARD_VERSION,
         "count": len(samples),
-        "counts_per_task": counts,
+        "counts_per_task": collections.Counter(s.kind for s in samples),
         "seed": seed,
         "ratio_table": {t: r for t, r in zip(TASKS, np.asarray(ratios, dtype=float).tolist())},
     }
@@ -469,59 +439,16 @@ def write_shard(samples: list[Sample], path: str | Path, *, seed: int | None = N
     return path
 
 
-def _read_tensor(payload: bytes) -> np.ndarray:
-    ndim = payload[0]
-    shape = struct.unpack_from(f"<{ndim}I", payload, 1)
-    off = 1 + 4 * ndim
-    return np.frombuffer(payload, dtype="<f4", offset=off).reshape(shape).copy()
-
-
-def _read_mask(payload: bytes) -> np.ndarray:
-    ndim = payload[0]
-    shape = struct.unpack_from(f"<{ndim}I", payload, 1)
-    off = 1 + 4 * ndim
-    total = int(np.prod(shape))
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8, offset=off), count=total)
-    return bits.astype(bool).reshape(shape)
-
-
 def read_shard(path: str | Path) -> list[Sample]:
-    data = Path(path).read_bytes()
-    if len(data) < 10 or data[:4] != SHARD_MAGIC:
-        raise DecodeError(0, "bad shard magic")
-    version, count = struct.unpack_from("<HI", data, 4)
-    if version != SHARD_VERSION:
-        raise DecodeError(4, f"unsupported shard version {version}")
-    off = 10
+    r = codec.Reader(Path(path).read_bytes(), SHARD_MAGIC, SHARD_VERSION)
+    (count,) = r.unpack(codec.U32)
     samples = []
     for _ in range(count):
-        (nfields,) = struct.unpack_from("<H", data, off)
-        off += 2
-        fields: dict = {}
-        for _ in range(nfields):
-            nlen, ftype = struct.unpack_from("<BB", data, off)
-            off += 2
-            name = data[off:off + nlen].decode("ascii")
-            off += nlen
-            (plen,) = struct.unpack_from("<I", data, off)
-            off += 4
-            if off + plen > len(data):
-                raise DecodeError(off, "truncated shard field")
-            payload = data[off:off + plen]
-            off += plen
-            if ftype == _F_TEXT:
-                fields[name] = payload.decode()
-            elif ftype == _F_TENSOR:
-                fields[name] = _read_tensor(payload)
-            elif ftype == _F_MASK:
-                fields[name] = _read_mask(payload)
-            elif ftype == _F_SPEC:
-                fields[name], _ = _unpack_spec(payload, 0)
-            else:
-                raise DecodeError(off - plen, f"unknown field type {ftype}")
-        kind = fields.pop("kind")
-        spec = fields.pop("spec")
-        samples.append(Sample(kind=kind, spec=spec, **fields))
-    if off != len(data):
-        raise DecodeError(off, "trailing bytes in shard")
+        at = r.off
+        (present,) = r.unpack(codec.U16)
+        if present & _REQUIRED != _REQUIRED or present >> len(_SAMPLE_IO):
+            raise codec.DecodeError(at, f"bad field mask {present:#06x}")
+        samples.append(Sample(**{name: read(r) for i, (name, _, read) in enumerate(_SAMPLE_IO)
+                                 if present >> i & 1}))
+    r.finish()
     return samples

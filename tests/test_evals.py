@@ -1,0 +1,37 @@
+"""Attribute probes on a tiny, untrained frame encoder."""
+
+import numpy as np
+
+from univid import evals
+from univid import perception as pc
+from univid import synthdata as sd
+
+
+def small_probe():
+    return evals.train_probe(pc.FrameEncoder(), n_train=24, frames=2, steps=10)
+
+
+def test_probe_weights_repeat_bitwise():
+    a, b = small_probe(), small_probe()
+    assert a.weights.keys() == b.weights.keys() == evals.PROBE_ATTRS.keys()
+    for attr in evals.PROBE_ATTRS:
+        for x, y in zip(a.weights[attr], b.weights[attr]):
+            assert x.tobytes() == y.tobytes()
+
+
+def test_classify_names_and_accuracy_range():
+    probe = small_probe()
+    rng = np.random.default_rng(0)
+    specs = [sd.random_spec(rng) for _ in range(4)]
+    videos = [sd.render(s, 2) for s in specs]
+    pred = probe.classify(videos[0])
+    assert pred.keys() == evals.PROBE_ATTRS.keys()
+    for attr, names in evals.PROBE_ATTRS.items():
+        assert pred[attr] in names
+    for value in probe.accuracy(videos, specs).values():
+        assert 0.0 <= value <= 1.0
+
+
+def test_linear_probe_shape_accuracy_in_unit_range():
+    acc = evals.linear_probe_shape_accuracy(pc.FrameEncoder(), n_train=24, n_test=8, steps=10)
+    assert 0.0 <= acc <= 1.0

@@ -60,6 +60,19 @@ def test_finite_check_flag():
             assert np.isinf(out.numpy()[1])
 
 
+def test_finite_check_large_float64_finites_pass():
+    # the float64 sum of these overflows; the values themselves are finite
+    out = nx.add(nx.Tensor(np.array([1e308, 1e308])), 0.0)
+    assert out.dtype == np.float64 and np.isfinite(out.numpy()).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_finite_check_catches_inf_and_nan(dtype, bad):
+    with pytest.raises(nx.NonFiniteError):
+        nx.add(nx.Tensor(np.array([1.0, bad, 2.0], dtype=dtype)), 0.0)
+
+
 # -- losses -------------------------------------------------------------------
 
 
@@ -257,6 +270,33 @@ def test_adamw_missing_state_errors():
     p.set_trainable(True)  # trainable again without rebuilding states
     with pytest.raises(nx.MissingStateError):
         opt.step()
+
+
+def test_adamw_unnamed_params_keep_separate_state():
+    a = nx.Parameter(np.zeros(3, dtype=np.float32))
+    b = nx.Parameter(np.zeros(3, dtype=np.float32))
+    a.tensor.grad = np.ones(3, dtype=np.float32)
+    b.tensor.grad = -np.ones(3, dtype=np.float32)
+    opt = nx.AdamW([a, b], lr=0.1, weight_decay=0.0)
+    opt.step()
+    # the first Adam step moves each parameter by lr against its own gradient
+    assert np.allclose(a.data, -0.1, atol=1e-6)
+    assert np.allclose(b.data, 0.1, atol=1e-6)
+
+
+def test_adamw_state_dict_round_trip_and_unique_names():
+    params = _named([nx.Parameter(np.zeros(2, dtype=np.float32)) for _ in range(2)])
+    opt = nx.AdamW(params, lr=0.1)
+    params[0].tensor.grad = np.ones(2, dtype=np.float32)
+    opt.step()
+    again = nx.AdamW(params, lr=0.5)
+    again.load_state_dict(opt.state_dict())
+    assert again.step_count == 1 and again.lr == 0.1
+    for (m, v), (m2, v2) in zip(opt.moments, again.moments):
+        assert np.array_equal(m, m2) and np.array_equal(v, v2)
+    params[1].name = params[0].name
+    with pytest.raises(nx.NumericsError, match="duplicate parameter names"):
+        opt.state_dict()
 
 
 def test_adamw_deterministic():

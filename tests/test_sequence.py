@@ -118,7 +118,7 @@ def test_serialize_round_trip_fuzzed():
 
 def test_empty_sequence_serializes_to_documented_header():
     data = sq.serialize(sq.MultimodalSequence())
-    assert len(data) == sq.HEADER_SIZE == 12
+    assert len(data) == sq.HEADER_SIZE + 4 == 16  # header plus CRC32 trailer
     assert data[:4] == sq.MAGIC
 
 
