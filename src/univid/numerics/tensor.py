@@ -9,8 +9,9 @@ checks its output for non-finite values unless the check is disabled.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -493,18 +494,46 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._from_op(out_data, tuple(tensors), "concat", bwd)
 
 
-def pad_axis(a: Tensor, axis: int, before: int, after: int) -> Tensor:
-    """Zero-pad one axis."""
-    widths = [(0, 0)] * a.ndim
-    widths[axis] = (before, after)
-    out_data = np.pad(a.data, widths)
+def window(a: Tensor, axes: tuple, size: int, stride: int, before: int, after: int) -> Tensor:
+    """Sliding windows over `axes`, laid side by side on the last axis.
+
+    Each axis in `axes` is zero-padded by (before, after) and cut into
+    windows of `size` entries, `stride` apart. The last axis, which cannot be
+    windowed, holds the C channels of every window entry in turn, the last of
+    `axes` varying fastest: over axes (i, j), the entry at offsets (k_i, k_j)
+    fills channels (k_i * size + k_j) * C up to (k_i * size + k_j + 1) * C.
+    Backward adds each entry back at its offset into one zeroed buffer.
+    """
+    axes = tuple(axes)
+    if not all(0 <= ax < a.ndim - 1 for ax in axes):
+        raise ShapeError("window", f"axes {axes} must lie before the last (channel) axis of {a.shape}")
+    widths = [(before, after) if ax in axes else (0, 0) for ax in range(a.ndim)]
+    padded_shape = tuple(n + w0 + w1 for n, (w0, w1) in zip(a.shape, widths))
+    if any(padded_shape[ax] < size for ax in axes):
+        raise ShapeError("window", f"window of {size} is longer than padded shape {padded_shape}")
+    blocks = []  # index of each window entry in the padded array, in channel order
+    for offsets in itertools.product(range(size), repeat=len(axes)):
+        idx = [slice(None)] * a.ndim
+        for ax, k in zip(axes, offsets):
+            idx[ax] = slice(k, k + padded_shape[ax] - size + 1, stride)
+        blocks.append(tuple(idx))
+    padded = np.pad(a.data, widths)
+    out_data = np.concatenate([padded[idx] for idx in blocks], axis=-1)
+    c = a.shape[-1]
+    interior = tuple(slice(w0, w0 + n) for n, (w0, _) in zip(a.shape, widths))
 
     def bwd(g):
-        idx = [slice(None)] * a.ndim
-        idx[axis] = slice(before, before + a.shape[axis])
-        a._accumulate(g[tuple(idx)])
+        buf = np.zeros(padded_shape, dtype=a.dtype)
+        for i, idx in enumerate(blocks):
+            buf[idx] += g[..., i * c:(i + 1) * c]
+        a._accumulate(buf[interior])
 
-    return Tensor._from_op(out_data, (a,), "pad_axis", bwd)
+    return Tensor._from_op(out_data, (a,), "window", bwd)
+
+
+def pad_axis(a: Tensor, axis: int, before: int, after: int) -> Tensor:
+    """Zero-pad one axis other than the last."""
+    return window(a, (axis,), 1, 1, before, after)
 
 
 def slice_(a: Tensor, key) -> Tensor:

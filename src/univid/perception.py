@@ -221,30 +221,18 @@ class CausalVideoVae(nx.Module):
 
     def _spatial_context(self, h: Tensor) -> Tensor:
         """3x3 neighborhood concat along channels: [T,B,8,8,C] -> [T,B,8,8,9C]."""
-        g = LATENT_SIZE
-        padded = nx.pad_axis(nx.pad_axis(h, 2, 1, 1), 3, 1, 1)
-        shifts = [padded[:, :, 1 + i:1 + i + g, 1 + j:1 + j + g, :]
-                  for i in (-1, 0, 1) for j in (-1, 0, 1)]
-        return nx.concat(shifts, axis=-1)
+        return nx.window(h, (2, 3), 3, 1, 1, 1)
 
-    def _temporal_windows(self, h: Tensor, t: int) -> Tensor:
+    def _temporal_windows(self, h: Tensor) -> Tensor:
         """Causal stride-2 windows over axis 0: frames 2k-2 .. 2k+1 per latent k."""
-        t_out = (t + 1) // 2
-        right = max(0, 2 * t_out - t)
-        padded = nx.pad_axis(h, 0, 2, right)
-        rows = []
-        for off in range(4):
-            idx = 2 * np.arange(t_out) + off
-            rows.append(nx.take(padded, idx))
-        return nx.concat(rows, axis=-1)
+        return nx.window(h, (0,), 4, 2, 2, h.shape[0] % 2)
 
     def encode_batch(self, videos: np.ndarray) -> Tensor:
         """[B, T, 3, 32, 32] -> [B, T', 4, 8, 8]"""
         videos = np.asarray(videos, dtype=np.float32)
-        t = videos.shape[1]
         h = nx.gelu(self.enc_embed(Tensor(self._space_to_patches(videos))))
         h = nx.gelu(self.enc_spatial(self._spatial_context(h)))
-        h = self._temporal_windows(h, t)
+        h = self._temporal_windows(h)
         h = nx.gelu(self.enc_temporal(h))
         z = self.enc_out(h)  # [T', B, 8, 8, 4]
         return nx.transpose(z, (1, 0, 4, 2, 3))
@@ -260,11 +248,9 @@ class CausalVideoVae(nx.Module):
         h = nx.transpose(latents, (1, 0, 3, 4, 2))  # [T', B, 8, 8, 4]
         h = nx.gelu(self.dec_embed(h))
         gmean = nx.mean(h, axis=(2, 3), keepdims=True)
-        gtile = nx.add(nx.mul(h, 0.0), gmean)  # broadcast the summary to the grid
+        gtile = nx.add(Tensor(np.zeros(h.shape, h.dtype)), gmean)  # broadcast the summary to the grid
         h = nx.gelu(self.dec_spatial(nx.concat([self._spatial_context(h), gtile], axis=-1)))
-        padded = nx.pad_axis(h, 0, 1, 0)
-        window = nx.concat([nx.take(padded, np.arange(t_lat)), nx.take(padded, np.arange(t_lat) + 1)], axis=-1)
-        h = nx.gelu(self.dec_temporal(window))
+        h = nx.gelu(self.dec_temporal(nx.window(h, (0,), 2, 1, 1, 0)))  # latents k-1 and k
         out = self.dec_out(h)  # [T', B, 8, 8, 2 * patch_dim]
         p = self.config.spatial_patch
         g = LATENT_SIZE

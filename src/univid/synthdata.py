@@ -3,7 +3,7 @@
 The world is a closed enumeration (shape, color, motion, background, size), so
 captions, edit instructions and QA answers are exact by construction and every
 sample can re-validate itself. Start positions are a deterministic function of
-(motion, size) plus a small seed-chosen jitter, which makes a caption almost
+the motion plus a small seed-chosen jitter, which makes a caption almost
 fully determine its video.
 """
 
@@ -78,34 +78,26 @@ def random_spec(rng: np.random.Generator) -> SceneSpec:
 # -- rendering ------------------------------------------------------------------
 
 
-def start_position(spec: SceneSpec) -> tuple[int, int]:
-    """(col, row) of the shape center in frame 0."""
+def _center(spec: SceneSpec, frame: int) -> tuple[int, int]:
+    """(col, row) of the shape center: the frame-0 position, a deterministic
+    function of (motion, seed), plus frame * velocity, clamped so the shape
+    stays on the canvas."""
     vx, vy = MOTIONS[spec.motion]
     jr = np.random.default_rng(spec.seed)
     jx = int(jr.choice(_JITTER))
     jy = int(jr.choice(_JITTER))
-    return (CANVAS // 2 - 6 * vx + jx, CANVAS // 2 - 6 * vy + jy)
-
-
-def _center_at(spec: SceneSpec, frame: int, clamp_r: int) -> tuple[int, int, bool]:
-    vx, vy = MOTIONS[spec.motion]
-    x0, y0 = start_position(spec)
-    cx, cy = x0 + vx * frame, y0 + vy * frame
-    clamped = False
-    lo, hi = clamp_r, CANVAS - 1 - clamp_r
-    if not lo <= cx <= hi:
-        cx = min(max(cx, lo), hi)
-        clamped = True
-    if not lo <= cy <= hi:
-        cy = min(max(cy, lo), hi)
-        clamped = True
-    return cx, cy, clamped
+    lo, hi = SIZES[spec.size], CANVAS - 1 - SIZES[spec.size]
+    cx = CANVAS // 2 - 6 * vx + jx + vx * frame
+    cy = CANVAS // 2 - 6 * vy + jy + vy * frame
+    return min(max(cx, lo), hi), min(max(cy, lo), hi)
 
 
 _SUBSAMPLE = 4
+# subpixel sample positions along one canvas axis, in pixel units
+_SUBPIXELS = (np.arange(CANVAS * _SUBSAMPLE) + 0.5) / _SUBSAMPLE - 0.5
 
 
-def coverage(spec: SceneSpec, frame: int, *, start: tuple[int, int] | None = None) -> np.ndarray:
+def coverage(spec: SceneSpec, frame: int) -> np.ndarray:
     """Float [CANVAS, CANVAS] per-pixel shape coverage in [0, 1].
 
     Rasterization is anti-aliased by 4x4 subpixel sampling; edges are one-pixel
@@ -113,15 +105,9 @@ def coverage(spec: SceneSpec, frame: int, *, start: tuple[int, int] | None = Non
     if not spec.has_object:
         return np.zeros((CANVAS, CANVAS), dtype=np.float32)
     r = SIZES[spec.size]
-    if start is None:
-        cx, cy, _ = _center_at(spec, frame, r)
-    else:
-        vx, vy = MOTIONS[spec.motion]
-        cx, cy = start[0] + vx * frame, start[1] + vy * frame
-    n = CANVAS * _SUBSAMPLE
-    yy, xx = np.mgrid[0:n, 0:n]
-    fx = (xx + 0.5) / _SUBSAMPLE - 0.5 - cx
-    fy = (yy + 0.5) / _SUBSAMPLE - 0.5 - cy
+    cx, cy = _center(spec, frame)
+    fx = (_SUBPIXELS - cx)[None, :]
+    fy = (_SUBPIXELS - cy)[:, None]
     if spec.shape == "circle":
         m = fx * fx + fy * fy <= r * r
     elif spec.shape == "square":
@@ -132,37 +118,28 @@ def coverage(spec: SceneSpec, frame: int, *, start: tuple[int, int] | None = Non
     return m.reshape(CANVAS, _SUBSAMPLE, CANVAS, _SUBSAMPLE).mean(axis=(1, 3)).astype(np.float32)
 
 
-def shape_mask(spec: SceneSpec, frame: int, *, start: tuple[int, int] | None = None) -> np.ndarray:
+def shape_mask(spec: SceneSpec, frame: int) -> np.ndarray:
     """Boolean influence mask: every pixel the shape touches at all."""
-    return coverage(spec, frame, start=start) > 0
+    return coverage(spec, frame) > 0
 
 
-def core_mask(spec: SceneSpec, frame: int, *, start: tuple[int, int] | None = None) -> np.ndarray:
+def core_mask(spec: SceneSpec, frame: int) -> np.ndarray:
     """Boolean mask of fully covered (pure shape color) pixels."""
-    return coverage(spec, frame, start=start) >= 1.0
+    return coverage(spec, frame) >= 1.0
 
 
-def render_with_meta(spec: SceneSpec, frames: int, *, start: tuple[int, int] | None = None):
+def render(spec: SceneSpec, frames: int) -> np.ndarray:
     """Rasterize to float32 [frames, 3, CANVAS, CANVAS] in [0, 1]."""
     if frames < 1:
         raise SynthError(f"frames must be >= 1, got {frames}")
     bg = BACKGROUNDS[spec.background]
     color = np.array(COLORS[spec.color], dtype=np.float32).reshape(3, 1, 1)
     video = np.full((frames, 3, CANVAS, CANVAS), bg, dtype=np.float32)
-    clamped = False
     if spec.has_object:
-        r = SIZES[spec.size]
         for t in range(frames):
-            if start is None:
-                _, _, cl = _center_at(spec, t, r)
-                clamped = clamped or cl
-            cov = coverage(spec, t, start=start)[None]
+            cov = coverage(spec, t)[None]
             video[t] = video[t] * (1.0 - cov) + color * cov
-    return video, {"clamped": clamped}
-
-
-def render(spec: SceneSpec, frames: int, *, start: tuple[int, int] | None = None) -> np.ndarray:
-    return render_with_meta(spec, frames, start=start)[0]
+    return video
 
 
 # -- language -------------------------------------------------------------------

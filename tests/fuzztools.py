@@ -21,9 +21,13 @@ def random_valid_parts(rng: np.random.Generator, *, max_parts: int = 5):
 
 
 def random_valid_sequence(rng: np.random.Generator, **kw) -> sq.MultimodalSequence:
-    parts = random_valid_parts(rng, **kw)
-    # pack_parts only needs video_frames for block length validation; blocks
-    # here already carry their own length, so validate against both sizes.
+    return sequence_of(random_valid_parts(rng, **kw))
+
+
+def sequence_of(parts) -> sq.MultimodalSequence:
+    """The element stream of (tag, payload) parts, each visual block wrapped in
+    its opener and closer; blocks carry their own length, so any frame count
+    is accepted."""
     elements = []
     spans = []
     for tag, payload in parts:

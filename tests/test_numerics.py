@@ -167,6 +167,8 @@ PRIMITIVE_CASES = {
     "transpose": lambda p, rng: nx.transpose(p, (1, 0)),
     "concat": lambda p, rng: nx.concat([p, t64(rng.standard_normal(p.shape))], axis=0),
     "pad": lambda p, rng: nx.pad_axis(p, 0, 1, 2),
+    "window": lambda p, rng: nx.window(p, (0,), 2, 2, 1, 2),
+    "window_2d": lambda p, rng: nx.window(nx.reshape(p, (2, 2, 5)), (0, 1), 3, 1, 1, 1),
     "slice": lambda p, rng: p[1:3, :2],
     "take": lambda p, rng: nx.take(p, np.array([0, 2, 2, 1])),
     "add_rows": lambda p, rng: nx.add_rows(p, np.array([1, 3]), t64(rng.standard_normal((2, p.shape[1])))),
@@ -199,6 +201,71 @@ def test_primitive_gradients_match_finite_differences(name):
         report = nx.grad_check(loss_fn, [p], h=1e-5)
         worst = max(worst, report.max_rel_error)
     assert worst <= 1e-6, f"{name}: worst rel err {worst:.3e}"
+
+
+# -- window against the pad/slice/take/concat compositions it replaced -------------
+
+
+def pad_ref(h, axis, before, after):
+    """Zero-pad one axis by concatenating zero blocks."""
+    def zeros(n):
+        shape = list(h.shape)
+        shape[axis] = n
+        return nx.Tensor(np.zeros(shape, h.dtype))
+
+    return nx.concat([zeros(before), h, zeros(after)], axis=axis)
+
+
+def spatial_ref(h):
+    """3x3 context: two pads, nine slices and a concat."""
+    _, _, rows, cols, _ = h.shape
+    padded = pad_ref(pad_ref(h, 2, 1, 1), 3, 1, 1)
+    return nx.concat([padded[:, :, i:i + rows, j:j + cols, :] for i in range(3) for j in range(3)], axis=-1)
+
+
+def temporal_ref(h):
+    """Causal stride-2 windows of four frames: a pad, four takes and a concat."""
+    t_out = (h.shape[0] + 1) // 2
+    padded = pad_ref(h, 0, 2, h.shape[0] % 2)
+    return nx.concat([nx.take(padded, 2 * np.arange(t_out) + off) for off in range(4)], axis=-1)
+
+
+def pair_ref(h):
+    """Windows of the previous and the current frame: a pad, two takes and a concat."""
+    padded = pad_ref(h, 0, 1, 0)
+    t = h.shape[0]
+    return nx.concat([nx.take(padded, np.arange(t)), nx.take(padded, np.arange(t) + 1)], axis=-1)
+
+
+WINDOW_REFS = [
+    ("spatial", (2, 3, 8, 8, 5), spatial_ref, lambda h: nx.window(h, (2, 3), 3, 1, 1, 1)),
+    ("spatial_odd", (1, 2, 3, 5, 2), spatial_ref, lambda h: nx.window(h, (2, 3), 3, 1, 1, 1)),
+    *[(f"temporal_{t}", (t, 2, 4, 4, 3), temporal_ref, lambda h: nx.window(h, (0,), 4, 2, 2, h.shape[0] % 2))
+      for t in (1, 7, 8, 12)],
+    ("pair", (6, 2, 4, 4, 3), pair_ref, lambda h: nx.window(h, (0,), 2, 1, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("name,shape,reference,windowed", WINDOW_REFS, ids=[c[0] for c in WINDOW_REFS])
+def test_window_matches_compositions_bitwise(name, shape, reference, windowed):
+    rng = np.random.default_rng(len(name))
+    x = rng.standard_normal(shape).astype(np.float32)
+    results = []
+    for build in (reference, windowed):
+        p = nx.Parameter(x.copy())
+        out = build(p.tensor)
+        w = np.random.default_rng(1).standard_normal(out.shape).astype(np.float32)
+        nx.sum_(nx.mul(out, nx.Tensor(w))).backward()
+        results.append((out.shape, out.numpy().tobytes(), p.grad.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_window_shape_errors():
+    x = nx.Tensor(np.zeros((3, 2), dtype=np.float32))
+    with pytest.raises(nx.ShapeError, match="window"):
+        nx.window(x, (1,), 1, 1, 0, 0)  # the channel axis
+    with pytest.raises(nx.ShapeError, match="window"):
+        nx.window(x, (0,), 6, 1, 1, 1)  # 6 entries, padded length 5
 
 
 def test_determinism_same_seed_same_bits():

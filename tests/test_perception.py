@@ -1,0 +1,80 @@
+"""Causal video autoencoder: causality, frame-count rules, shape errors and
+the latent normalization round trip."""
+
+import functools
+
+import numpy as np
+import pytest
+
+from univid import numerics as nx
+from univid import perception as pc
+from univid import synthdata as sd
+
+
+@functools.cache
+def vae() -> pc.CausalVideoVae:
+    return pc.CausalVideoVae()
+
+
+def video(frames: int, seed: int = 0) -> np.ndarray:
+    return sd.render(sd.random_spec(np.random.default_rng(seed)), frames)
+
+
+def encode(v: np.ndarray) -> np.ndarray:
+    with nx.no_grad():
+        return vae().encode(v).numpy()
+
+
+def test_latent_k_sees_only_frames_2k_minus_2_to_2k_plus_1():
+    v = np.random.default_rng(1).uniform(0.0, 1.0, (12, 3, 32, 32)).astype(np.float32)
+    base = encode(v)
+    for j in range(12):
+        bumped = v.copy()
+        bumped[j] = 1.0 - bumped[j]
+        z = encode(bumped)
+        for k in range(base.shape[0]):
+            if 2 * k - 2 <= j <= 2 * k + 1:
+                assert not np.array_equal(z[k], base[k]), (j, k)
+            else:
+                assert z[k].tobytes() == base[k].tobytes(), (j, k)
+
+
+@pytest.mark.parametrize("frames", pc.VALID_FRAME_COUNTS)
+def test_encode_decode_shapes(frames):
+    t_lat = (frames + 1) // 2
+    z = encode(video(frames))
+    assert z.shape == (t_lat, pc.LATENT_CHANNELS, pc.LATENT_SIZE, pc.LATENT_SIZE)
+    with nx.no_grad():
+        assert vae().decode(z, frames=frames).shape == (frames, 3, pc.FRAME_SIZE, pc.FRAME_SIZE)
+        assert vae().decode(z).shape == (2 * t_lat, 3, pc.FRAME_SIZE, pc.FRAME_SIZE)
+        batch = np.stack([video(frames, 1), video(frames, 2)])
+        assert vae().decode_batch(vae().encode_batch(batch), frames=frames).shape == batch.shape
+
+
+def test_shape_errors():
+    with pytest.raises(nx.ShapeError, match="vae_encode"):
+        vae().encode(video(5))  # not a valid frame count
+    with pytest.raises(nx.ShapeError, match="vae_encode"):
+        vae().encode(np.zeros((8, 3, 16, 16), np.float32))
+    latent = np.zeros((4, pc.LATENT_CHANNELS, pc.LATENT_SIZE, pc.LATENT_SIZE), np.float32)
+    with pytest.raises(nx.ShapeError, match="vae_decode"):
+        vae().decode(latent, frames=3)  # 3 frames make 2 latent frames, not 4
+    with pytest.raises(nx.ShapeError, match="vae_decode"):
+        vae().decode(latent[:, :3])
+
+
+def test_latent_normalize_round_trip():
+    model = pc.CausalVideoVae()
+    rng = np.random.default_rng(3)
+    mean = rng.standard_normal(pc.LATENT_CHANNELS).astype(np.float32)
+    std = rng.uniform(0.5, 2.0, pc.LATENT_CHANNELS).astype(np.float32)
+    model.set_latent_stats(mean, std)
+    z = rng.standard_normal((6, pc.LATENT_CHANNELS, 8, 8)).astype(np.float32)
+    assert np.allclose(model.denormalize_latent(model.normalize_latent(z)), z, atol=1e-5)
+    at_mean = np.broadcast_to(mean.reshape(1, -1, 1, 1), z.shape)
+    assert np.allclose(model.normalize_latent(at_mean), 0.0)
+    assert np.allclose(model.normalize_latent(at_mean + std.reshape(1, -1, 1, 1)), 1.0, atol=1e-6)
+    v = video(8)
+    with nx.no_grad():
+        expected = model.normalize_latent(model.encode(v).numpy())
+    assert np.array_equal(model.encode_normalized(v), expected)

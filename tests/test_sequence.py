@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fuzztools
 from univid import sequence as sq
@@ -42,12 +43,25 @@ def test_pack_wrong_dim_errors():
         sq.pack([], [("image", np.zeros((1, 32), dtype=np.float32))])
 
 
-def test_parse_inverts_pack_fuzzed():
-    rng = np.random.default_rng(123)
-    for _ in range(10_000):
-        seq = fuzztools.random_valid_sequence(rng)
-        parsed = sq.parse(seq)
-        assert fuzztools.reassemble(parsed, seq)
+@st.composite
+def valid_sequences(draw):
+    """Up to five text runs, images and 8- or 12-frame videos, in any order;
+    the visual vectors are standard normal from a drawn seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for tag in draw(st.lists(st.sampled_from(["text", "image", "video"]), max_size=5)):
+        if tag == "text":
+            parts.append((tag, draw(st.lists(st.integers(0, sq.TEXT_VOCAB - 1), max_size=12))))
+        else:
+            frames = 1 if tag == "image" else draw(st.sampled_from([8, 12]))
+            parts.append((tag, rng.standard_normal((frames, sq.VISUAL_DIM)).astype(np.float32)))
+    return fuzztools.sequence_of(parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_sequences())
+def test_parse_inverts_pack_fuzzed(seq):
+    assert fuzztools.reassemble(sq.parse(seq), seq)
 
 
 def test_parse_empty():
@@ -108,12 +122,10 @@ def test_video_span_length_validation():
 # -- wire format ----------------------------------------------------------------
 
 
-def test_serialize_round_trip_fuzzed():
-    rng = np.random.default_rng(321)
-    for _ in range(10_000):
-        seq = fuzztools.random_valid_sequence(rng)
-        again = sq.deserialize(sq.serialize(seq))
-        assert again == seq
+@settings(max_examples=200, deadline=None)
+@given(valid_sequences())
+def test_serialize_round_trip_fuzzed(seq):
+    assert sq.deserialize(sq.serialize(seq)) == seq
 
 
 def test_empty_sequence_serializes_to_documented_header():

@@ -42,22 +42,20 @@ def test_render_right_motion_centroid_strictly_increases():
 
 
 def test_render_clamps_and_flags_when_shape_would_exit():
-    spec = spec_of(motion="right")
-    _, meta = sd.render_with_meta(spec, 8, start=(28, 16))
-    assert meta["clamped"] is False  # explicit start bypasses clamping entirely
-    _, meta = sd.render_with_meta(spec, 8)
-    assert meta["clamped"] is False  # derived starts never exit the canvas
-    # force a derived-start clamp by checking _center_at directly
-    cx, _, clamped = sd._center_at(spec_of(motion="right", seed=0), 40, sd.SIZES["large"])
-    assert clamped and cx == 31 - sd.SIZES["large"]
+    # by frame 40 a right-moving large shape has run into the right edge
+    cx, _ = sd._center(spec_of(motion="right", seed=0), 40)
+    assert cx == 31 - sd.SIZES["large"]
 
 
 def test_standard_corpus_never_clamps():
+    # unclamped centers move by exactly the motion's velocity every frame
     rng = np.random.default_rng(0)
     for _ in range(100):
         spec = sd.random_spec(rng)
-        _, meta = sd.render_with_meta(spec, 12)
-        assert meta["clamped"] is False
+        vx, vy = sd.MOTIONS[spec.motion]
+        x0, y0 = sd._center(spec, 0)
+        for t in range(1, 12):
+            assert sd._center(spec, t) == (x0 + vx * t, y0 + vy * t)
 
 
 def test_pixels_in_unit_range_with_exact_flat_regions():
