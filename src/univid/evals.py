@@ -64,13 +64,9 @@ def _fit_softmax(x: np.ndarray, y: np.ndarray, classes: int, *, steps: int,
     """Softmax regression from zero weights with AdamW; returns (W [F, C], b [C])."""
     w = nx.Parameter(np.zeros((x.shape[1], classes), dtype=np.float32))
     b = nx.Parameter(np.zeros(classes, dtype=np.float32))
-    opt = nx.AdamW([w, b], lr=lr, weight_decay=1e-4)
     xt = nx.Tensor(x)
-    for _ in range(steps):
-        opt.zero_grad()
-        loss = nx.cross_entropy(nx.add(nx.matmul(xt, w.tensor), b.tensor), y)
-        loss.backward()
-        opt.step()
+    nx.fit([w, b], lambda step: nx.cross_entropy(nx.add(nx.matmul(xt, w.tensor), b.tensor), y),
+           steps=steps, lr=lr, weight_decay=1e-4)
     return w.data.copy(), b.data.copy()
 
 

@@ -1,11 +1,14 @@
-"""AdamW with decoupled weight decay. Frozen parameters are never touched."""
+"""AdamW with decoupled weight decay, and `fit`, the one training loop.
+Frozen parameters are never touched."""
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 from .module import Parameter
-from .tensor import NumericsError
+from .tensor import NumericsError, Tensor
 
 
 class MissingStateError(NumericsError):
@@ -13,9 +16,9 @@ class MissingStateError(NumericsError):
 
 
 class AdamW:
-    """Moments are kept only for parameters that were trainable at construction
-    (or at the last `rebuild`). Stepping a trainable parameter without state is
-    an error; frozen parameters are skipped and stay bitwise unchanged.
+    """Moments are kept only for parameters that were trainable at construction.
+    Stepping a trainable parameter without state is an error; frozen
+    parameters are skipped and stay bitwise unchanged.
     State is kept by position in `params`; `state_dict` keys it by unique name."""
 
     def __init__(self, params: list[Parameter], lr: float = 1e-3, betas=(0.9, 0.999),
@@ -26,13 +29,8 @@ class AdamW:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        self.moments: list[tuple[np.ndarray, np.ndarray] | None] = []
-        self.rebuild()
-
-    def rebuild(self) -> None:
-        """(Re)create zero moments for the currently trainable parameters."""
-        self.moments = [(np.zeros_like(p.data), np.zeros_like(p.data)) if p.trainable else None
-                        for p in self.params]
+        self.moments: list[tuple[np.ndarray, np.ndarray] | None] = [
+            (np.zeros_like(p.data), np.zeros_like(p.data)) if p.trainable else None for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -93,3 +91,25 @@ class AdamW:
         saved = state["moments"]
         self.moments = [(np.array(saved[n][0]), np.array(saved[n][1])) if n in saved else None
                         for n in names]
+
+
+def fit(params: list[Parameter], loss_at: Callable[[int], Tensor], *, steps: int, lr: float,
+        weight_decay: float, lr_at: Callable[[int], float] | None = None) -> list[float]:
+    """Take `steps` AdamW steps on `params`; returns each step's `loss.item()`.
+
+    Each call builds its own `AdamW`, so no moments carry over between calls.
+    Step `step` sets `lr_at(step)` as the learning rate (when given), then runs
+    zero_grad, `loss_at(step)`, backward and `AdamW.step`. Nothing is caught:
+    an exception from any of them reaches the caller unchanged, and no later
+    step runs."""
+    opt = AdamW(params, lr=lr, weight_decay=weight_decay)
+    history = []
+    for step in range(steps):
+        if lr_at is not None:
+            opt.lr = lr_at(step)
+        opt.zero_grad()
+        loss = loss_at(step)
+        loss.backward()
+        opt.step()
+        history.append(loss.item())
+    return history

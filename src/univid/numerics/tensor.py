@@ -177,6 +177,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward_fn is None and node._op != "leaf":
+                raise BackwardError(f"backward: {node._op} node was freed by an earlier backward pass")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:

@@ -145,24 +145,18 @@ def _contrastive_batch(rng: np.random.Generator, batch: int, frames: int):
 
 
 def pretrain_frame_encoder(*, steps: int = 800, batch: int = 24, lr: float = 2e-3,
-                           seed: int = 11, frames: int = 8,
-                           log=None) -> tuple[FrameEncoder, list[float]]:
+                           seed: int = 11, frames: int = 8) -> tuple[FrameEncoder, list[float]]:
     """Contrastive pretraining on random scenes; returns the frozen encoder."""
     encoder = FrameEncoder(FrameEncoderConfig(seed=seed))
     rng = np.random.default_rng(seed + 1)
-    opt = nx.AdamW(encoder.parameters(), lr=lr, weight_decay=1e-4)
-    history = []
-    for step in range(steps):
+
+    def loss_at(step: int) -> Tensor:
         base = _contrastive_batch(rng, batch, frames)
         views_a = [augment_frame(f, rng) for f in base]
         views_b = [augment_frame(f, rng) for f in base]
-        opt.zero_grad()
-        loss = contrastive_loss(encoder, np.stack(views_a), np.stack(views_b))
-        loss.backward()
-        opt.step()
-        history.append(loss.item())
-        if log and step % 100 == 0:
-            log(f"encoder step {step}: loss {loss.item():.4f}")
+        return contrastive_loss(encoder, np.stack(views_a), np.stack(views_b))
+
+    history = nx.fit(encoder.parameters(), loss_at, steps=steps, lr=lr, weight_decay=1e-4)
     encoder.freeze()
     return encoder, history
 
@@ -320,28 +314,30 @@ def _edge_weights(videos: np.ndarray, boost: float = 3.0) -> np.ndarray:
 
 
 def pretrain_vae(*, steps: int = 4000, batch: int = 8, lr: float = 2e-3, seed: int = 21,
-                 image_prob: float = 0.2, stat_videos: int = 64,
-                 log=None) -> tuple[CausalVideoVae, list[float]]:
+                 image_prob: float = 0.2, stat_videos: int = 64) -> tuple[CausalVideoVae, list[float]]:
     """Edge-weighted pixel reconstruction, then freeze and record latent stats."""
     vae = CausalVideoVae(VaeConfig(seed=seed))
     rng = np.random.default_rng(seed + 1)
-    opt = nx.AdamW(vae.parameters(), lr=lr, weight_decay=1e-5)
-    history = []
-    for step in range(steps):
-        opt.lr = lr * (0.5 * (1.0 + np.cos(np.pi * step / steps))) + lr * 0.025
+    # a step's last tensors, kept until the next step replaces them: freed with
+    # the rest of the step, they would leave the whole heap top free, glibc
+    # would return it to the OS, and the next step would fault it back in
+    # (about a fifth of a step's time)
+    last_step = []
+
+    def loss_at(step: int) -> Tensor:
         frames = 1 if rng.random() < image_prob else 8
         videos = _vae_batch(rng, batch, frames)
-        opt.zero_grad()
         rec = vae.decode_batch(vae.encode_batch(videos), frames=frames)
         d = nx.sub(rec, Tensor(videos))
-        loss = nx.mean(nx.mul(nx.mul(d, d), Tensor(_edge_weights(videos))))
-        loss.backward()
-        opt.step()
-        history.append(loss.item())
-        if log and step % 200 == 0:
-            log(f"vae step {step}: loss {loss.item():.5f}")
+        weights = Tensor(_edge_weights(videos))
+        last_step[:] = rec, d, weights
+        return nx.mean(nx.mul(nx.mul(d, d), weights))
+
+    def lr_at(step: int) -> float:
+        return lr * (0.5 * (1.0 + np.cos(np.pi * step / steps))) + lr * 0.025
+
+    history = nx.fit(vae.parameters(), loss_at, steps=steps, lr=lr, weight_decay=1e-5, lr_at=lr_at)
     # measure latent statistics for the generative latent space
-    lat = []
     with nx.no_grad():
         z = vae.encode_batch(_vae_batch(rng, stat_videos, 8)).numpy()
     lat = z.transpose(2, 0, 1, 3, 4).reshape(LATENT_CHANNELS, -1)

@@ -115,16 +115,12 @@ class Span:
 
 @dataclass
 class MultimodalSequence:
+    """A flat element stream; `parse(seq).spans` locates its visual spans."""
+
     elements: list = field(default_factory=list)
-    spans: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.elements)
-
-    def __eq__(self, other):
-        if not isinstance(other, MultimodalSequence) or len(self) != len(other):
-            return False
-        return all(a == b for a, b in zip(self.elements, other.elements))
 
 
 def encode_text(text: str) -> list[int]:
@@ -168,7 +164,6 @@ def pack_parts(parts: list, *, video_frames: int = 8) -> MultimodalSequence:
     {"image", "video"}. Blocks are wrapped in their opener/closer tokens.
     """
     elements: list = []
-    spans: list[Span] = []
     for tag, payload in parts:
         if tag == "text":
             for i in payload:
@@ -178,13 +173,12 @@ def pack_parts(parts: list, *, video_frames: int = 8) -> MultimodalSequence:
         elif tag in ("image", "video"):
             emb = _check_block(tag, payload, video_frames)
             opener, closer = (BOI, EOI) if tag == "image" else (BOV, EOV)
-            spans.append(Span(tag, len(elements), emb.shape[0]))
             elements.append(TextToken(opener))
             elements.extend(VisualToken(row) for row in emb)
             elements.append(TextToken(closer))
         else:
             raise PackError(f"unknown part tag {tag!r}")
-    return MultimodalSequence(elements=elements, spans=spans)
+    return MultimodalSequence(elements=elements)
 
 
 def pack(text_ids: list[int], visual_blocks: list[tuple[str, np.ndarray]] | None = None,
@@ -265,12 +259,6 @@ def parse(seq: MultimodalSequence | list, *,
         raise UnmatchedOpenerError(open_pos, f"{open_kind} span never closed")
     flush_run()
     return ParsedSequence(text_segments=text_segments, blocks=blocks, spans=spans)
-
-
-def validate(seq: MultimodalSequence, **kw) -> MultimodalSequence:
-    """Parse for effect; refresh the span table."""
-    seq.spans = parse(seq, **kw).spans
-    return seq
 
 
 # -- wire format -------------------------------------------------------------------

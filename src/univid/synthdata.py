@@ -118,28 +118,26 @@ def coverage(spec: SceneSpec, frame: int) -> np.ndarray:
     return m.reshape(CANVAS, _SUBSAMPLE, CANVAS, _SUBSAMPLE).mean(axis=(1, 3)).astype(np.float32)
 
 
-def shape_mask(spec: SceneSpec, frame: int) -> np.ndarray:
-    """Boolean influence mask: every pixel the shape touches at all."""
-    return coverage(spec, frame) > 0
+def _coverages(spec: SceneSpec, frames: int) -> np.ndarray:
+    """Float [frames, CANVAS, CANVAS]: the coverage of frames 0 .. frames-1."""
+    if frames < 1:
+        raise SynthError(f"frames must be >= 1, got {frames}")
+    return np.stack([coverage(spec, t) for t in range(frames)])
 
 
-def core_mask(spec: SceneSpec, frame: int) -> np.ndarray:
-    """Boolean mask of fully covered (pure shape color) pixels."""
-    return coverage(spec, frame) >= 1.0
+def _paint(spec: SceneSpec, cov: np.ndarray) -> np.ndarray:
+    """Float32 [T, 3, CANVAS, CANVAS]: the background, with the object's color
+    blended in by coverage `cov` [T, CANVAS, CANVAS] if the scene has one."""
+    video = np.full((len(cov), 3, CANVAS, CANVAS), BACKGROUNDS[spec.background], dtype=np.float32)
+    if not spec.has_object:
+        return video
+    cov = cov[:, None]
+    return video * (1.0 - cov) + np.array(COLORS[spec.color], dtype=np.float32).reshape(3, 1, 1) * cov
 
 
 def render(spec: SceneSpec, frames: int) -> np.ndarray:
     """Rasterize to float32 [frames, 3, CANVAS, CANVAS] in [0, 1]."""
-    if frames < 1:
-        raise SynthError(f"frames must be >= 1, got {frames}")
-    bg = BACKGROUNDS[spec.background]
-    color = np.array(COLORS[spec.color], dtype=np.float32).reshape(3, 1, 1)
-    video = np.full((frames, 3, CANVAS, CANVAS), bg, dtype=np.float32)
-    if spec.has_object:
-        for t in range(frames):
-            cov = coverage(spec, t)[None]
-            video[t] = video[t] * (1.0 - cov) + color * cov
-    return video
+    return _paint(spec, _coverages(spec, frames))
 
 
 # -- language -------------------------------------------------------------------
@@ -238,40 +236,31 @@ def random_edit_op(spec: SceneSpec, rng: np.random.Generator) -> EditOp:
 def make_edit_pair(spec: SceneSpec, op: EditOp, frames: int) -> EditPair:
     if not spec.has_object:
         raise SynthError("edit pairs are built from a scene with an object")
-    masks = np.stack([shape_mask(spec, t) for t in range(frames)])
+    cov = _coverages(spec, frames)
+    source_spec = spec
+    preserved = cov == 0  # every pixel the shape does not touch
     if isinstance(op, Recolor):
         if op.new_color == spec.color:
             raise SynthError("recolor target equals the current color")
         edited = dataclasses.replace(spec, color=op.new_color)
-        source = render(spec, frames)
-        target = render(edited, frames)
         instruction = f"recolor the {spec.shape} to {op.new_color}"
-        preserved = ~masks
     elif isinstance(op, RemoveObject):
         edited = spec.without_object()
-        source = render(spec, frames)
-        target = render(edited, frames)
         instruction = f"remove the {spec.shape}"
-        preserved = ~masks
     elif isinstance(op, ChangeBackground):
         if op.new_background == spec.background:
             raise SynthError("background target equals the current background")
         edited = dataclasses.replace(spec, background=op.new_background)
-        source = render(spec, frames)
-        target = render(edited, frames)
         instruction = f"change the background to {op.new_background}"
         # only fully covered pixels are untouched; edge ramps blend the new bg
-        preserved = np.stack([core_mask(spec, t) for t in range(frames)])
+        preserved = cov >= 1.0
     elif isinstance(op, AddObject):
-        edited = spec
-        source = render(spec.without_object(), frames)
-        target = render(spec, frames)
+        edited, source_spec = spec, spec.without_object()
         instruction = f"add a {spec.size} {spec.color} {spec.shape} moving {spec.motion}"
-        preserved = ~masks
     else:
         raise SynthError(f"unknown edit op {op!r}")
-    return EditPair(spec=spec, op=op, source=source, instruction=instruction,
-                    target=target, preserved_mask=preserved, edited_spec=edited)
+    return EditPair(spec=spec, op=op, source=_paint(source_spec, cov), instruction=instruction,
+                    target=_paint(edited, cov), preserved_mask=preserved, edited_spec=edited)
 
 
 # -- samples and mixture -----------------------------------------------------------
@@ -300,6 +289,16 @@ class Sample:
         """Cheap self-consistency checks; raises SynthError on violation."""
         if self.kind not in TASKS:
             raise SynthError(f"unknown task kind {self.kind}")
+        edit = self.kind in ("image_edit", "video_edit")
+        names = ("source", "target", "preserved_mask") if edit else ("video",)
+        frames = getattr(getattr(self, names[0]), "shape", ())[:1]
+        for name in names:
+            a = getattr(self, name)
+            mask = name == "preserved_mask"
+            want = (*frames, CANVAS, CANVAS) if mask else (*frames, 3, CANVAS, CANVAS)
+            if not isinstance(a, np.ndarray) or a.shape != want or a.dtype.kind != ("b" if mask else "f"):
+                raise SynthError(f"{self.kind} sample needs a {'bool' if mask else 'float'} {name} of "
+                                 f"shape {want}, got {getattr(a, 'dtype', a)} {getattr(a, 'shape', '')}")
         if self.kind in ("image_understanding", "video_understanding"):
             if (self.question, self.answer) not in [make_qa(self.spec, which=w) for w in QUESTIONS]:
                 raise SynthError(f"question {self.question!r} / answer {self.answer!r} do not match spec {self.spec}")
@@ -308,9 +307,7 @@ class Sample:
             for field in ("shape", "color", "motion", "background", "size"):
                 if parsed.get(field) != getattr(self.spec, field):
                     raise SynthError(f"caption does not round-trip for {field}: {self.caption_detailed!r}")
-        if self.kind in ("image_edit", "video_edit"):
-            if self.preserved_mask is None:
-                raise SynthError("edit sample missing preserved mask")
+        if edit:
             diff = np.abs(self.source - self.target).max(axis=1)  # max over channels
             if (diff[self.preserved_mask] > 0).any():
                 raise SynthError("edit pair differs inside the preserved region")

@@ -29,17 +29,15 @@ def sequence_of(parts) -> sq.MultimodalSequence:
     its opener and closer; blocks carry their own length, so any frame count
     is accepted."""
     elements = []
-    spans = []
     for tag, payload in parts:
         if tag == "text":
             elements.extend(sq.TextToken(int(i)) for i in payload)
         else:
             opener, closer = (sq.BOI, sq.EOI) if tag == "image" else (sq.BOV, sq.EOV)
-            spans.append(sq.Span(tag, len(elements), payload.shape[0]))
             elements.append(sq.TextToken(opener))
             elements.extend(sq.VisualToken(row) for row in payload)
             elements.append(sq.TextToken(closer))
-    return sq.MultimodalSequence(elements=elements, spans=spans)
+    return sq.MultimodalSequence(elements=elements)
 
 
 def reassemble(parsed: sq.ParsedSequence, original: sq.MultimodalSequence) -> bool:
@@ -67,7 +65,7 @@ def mutate_sequence(seq: sq.MultimodalSequence, rng: np.random.Generator):
     """Apply one structural corruption; returns (elements, expected_error) or None
     if the chosen mutation does not apply to this sequence."""
     elements = list(seq.elements)
-    spans = seq.spans
+    spans = sq.parse(seq).spans
     kind = rng.choice(["drop_closer", "stray_visual", "nest_opener", "swap_closer",
                        "shrink_span", "orphan_closer", "text_in_span"])
     if kind == "drop_closer" and spans:

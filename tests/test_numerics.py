@@ -128,6 +128,19 @@ def test_backward_requires_scalar():
         nx.mul(w.tensor, 2.0).backward()
 
 
+def test_backward_through_freed_graph_raises():
+    p = nx.Parameter(np.array([1.0, 2.0], dtype=np.float32))
+    h = nx.mul(p.tensor, 3.0)
+    l1, l2 = nx.sum_(h), nx.sum_(nx.mul(h, h))
+    l1.backward()
+    assert np.array_equal(p.grad, [3.0, 3.0])
+    # l2 needs h's backward, which l1's pass freed; skipping it would leave
+    # p.grad at [3, 3] instead of the true [3 + 18, 3 + 36]
+    with pytest.raises(nx.BackwardError, match="mul"):
+        l2.backward()
+    assert np.array_equal(p.grad, [3.0, 3.0])
+
+
 def test_three_layer_mlp_matches_finite_differences():
     rng = np.random.default_rng(7)
     layers = [nx.Linear(6, 8, rng, dtype=np.float64), nx.Linear(8, 8, rng, dtype=np.float64),
@@ -377,6 +390,76 @@ def test_adamw_deterministic():
         return p.data.copy()
 
     assert np.array_equal(run(), run())
+
+
+# -- fit ------------------------------------------------------------------------
+
+
+def _quadratic():
+    """A parameter and a loss whose gradient depends on the parameter."""
+    p = _named([nx.Parameter(np.array([1.0, -2.0, 0.5], dtype=np.float32))])[0]
+    return p, lambda step: nx.sum_(nx.mul(p.tensor, p.tensor))
+
+
+def test_fit_returns_each_steps_loss_and_applies_lr_at(monkeypatch):
+    p, loss = _quadratic()
+    seen_losses, seen_lr = [], []
+    step = nx.AdamW.step
+
+    def recording_step(opt):
+        seen_lr.append(opt.lr)
+        step(opt)
+
+    def loss_at(k):
+        seen_losses.append(float(np.sum(p.data.astype(np.float64) ** 2)))
+        return loss(k)
+
+    monkeypatch.setattr(nx.AdamW, "step", recording_step)
+    history = nx.fit([p], loss_at, steps=4, lr=0.1, weight_decay=0.0, lr_at=lambda k: 0.1 / (k + 1))
+    assert len(history) == 4
+    assert np.allclose(history, seen_losses, rtol=1e-6)
+    assert seen_lr == [0.1, 0.05, 0.1 / 3, 0.025]
+
+
+class _Stop(Exception):
+    pass
+
+
+def _weights_after(steps):
+    p, loss = _quadratic()
+    nx.fit([p], loss, steps=steps, lr=0.1, weight_decay=0.01)
+    return p.data.copy()
+
+
+def test_fit_propagates_loss_at_errors_with_earlier_steps_applied():
+    p, loss = _quadratic()
+    stop = _Stop()
+
+    def loss_at(k):
+        if k == 2:
+            raise stop
+        return loss(k)
+
+    with pytest.raises(_Stop) as exc:
+        nx.fit([p], loss_at, steps=5, lr=0.1, weight_decay=0.01)
+    assert exc.value is stop
+    assert np.array_equal(p.data, _weights_after(2))
+
+
+def test_fit_propagates_optimizer_step_errors_with_earlier_steps_applied(monkeypatch):
+    p, loss = _quadratic()
+    step = nx.AdamW.step
+
+    def step_until_third(opt):
+        if opt.step_count == 2:
+            raise _Stop
+        step(opt)
+
+    monkeypatch.setattr(nx.AdamW, "step", step_until_third)
+    with pytest.raises(_Stop):
+        nx.fit([p], loss, steps=5, lr=0.1, weight_decay=0.01)
+    monkeypatch.undo()
+    assert np.array_equal(p.data, _weights_after(2))
 
 
 # -- grad_check itself -----------------------------------------------------------

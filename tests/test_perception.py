@@ -1,5 +1,5 @@
 """Causal video autoencoder: causality, frame-count rules, shape errors and
-the latent normalization round trip."""
+the latent normalization round trip; both pretraining entry points at tiny size."""
 
 import functools
 
@@ -78,3 +78,36 @@ def test_latent_normalize_round_trip():
     with nx.no_grad():
         expected = model.normalize_latent(model.encode(v).numpy())
     assert np.array_equal(model.encode_normalized(v), expected)
+
+
+# -- pretraining entry points ------------------------------------------------------
+
+PRETRAIN = {
+    "vae": lambda: pc.pretrain_vae(steps=3, batch=2, stat_videos=2, seed=5),
+    "encoder": lambda: pc.pretrain_frame_encoder(steps=3, batch=4, seed=5),
+}
+
+
+@functools.cache
+def pretrained(name: str, run: int = 0):
+    return PRETRAIN[name]()
+
+
+@pytest.mark.parametrize("name", PRETRAIN)
+def test_pretrain_returns_finite_losses_and_frozen_model(name):
+    model, history = pretrained(name)
+    assert len(history) == 3 and np.isfinite(history).all()
+    assert not any(p.trainable for p in model.parameters())
+
+
+@pytest.mark.parametrize("name", PRETRAIN)
+def test_pretrain_repeats_bitwise(name):
+    (a, ha), (b, hb) = pretrained(name), pretrained(name, run=1)
+    assert ha == hb
+    for pa, pb in zip(a.parameters(), b.parameters(), strict=True):
+        assert pa.name == pb.name and pa.data.tobytes() == pb.data.tobytes()
+
+
+def test_pretrain_vae_records_latent_stats():
+    std = pretrained("vae")[0].latent_std.data
+    assert (std > 0).all() and not np.array_equal(std, np.ones_like(std))

@@ -22,13 +22,13 @@ def test_pack_text_plus_video_length():
     emb = rng.standard_normal((8, sq.VISUAL_DIM)).astype(np.float32)
     seq = sq.pack(sq.encode_text("cat"), [("video", emb)], video_frames=8)
     assert len(seq) == 3 + 1 + 8 + 1
-    assert seq.spans == [sq.Span("video", 3, 8)]
+    assert sq.parse(seq).spans == [sq.Span("video", 3, 8)]
 
 
 def test_pack_pure_text():
     seq = sq.pack(sq.encode_text("hello"), [])
     assert len(seq) == 5
-    assert seq.spans == []
+    assert sq.parse(seq).spans == []
 
 
 def test_pack_wrong_frame_count_errors():

@@ -62,13 +62,13 @@ def test_pixels_in_unit_range_with_exact_flat_regions():
     spec = spec_of(color="yellow", background="black")
     video = sd.render(spec, 1)
     assert video.min() >= 0.0 and video.max() <= 1.0
-    core = sd.core_mask(spec, 0)
-    outside = ~sd.shape_mask(spec, 0)
+    cov = sd.coverage(spec, 0)
+    core, outside = cov >= 1.0, cov == 0
     assert np.array_equal(np.unique(video[0][:, core], axis=1),
                           np.array(sd.COLORS["yellow"], np.float32)[:, None])
     assert (video[0][:, outside] == sd.BACKGROUNDS["black"]).all()
     # anti-aliasing: some blended pixels on the rim
-    rim = sd.shape_mask(spec, 0) & ~core
+    rim = ~outside & ~core
     assert rim.any()
 
 
@@ -157,6 +157,26 @@ def test_add_object_source_is_background_only():
     assert np.array_equal(pair.target, sd.render(spec, 4))
 
 
+@pytest.mark.parametrize("op", [sd.Recolor("blue"), sd.RemoveObject(), sd.AddObject(),
+                                sd.ChangeBackground("black")], ids=lambda op: type(op).__name__)
+def test_edit_pair_computes_coverage_once_per_frame(monkeypatch, op):
+    calls = []
+    coverage = sd.coverage
+
+    def counted(spec, frame):
+        calls.append(frame)
+        return coverage(spec, frame)
+
+    monkeypatch.setattr(sd, "coverage", counted)
+    sd.make_edit_pair(spec_of(), op, 5)
+    assert sorted(calls) == list(range(5))
+
+
+def test_edit_pair_needs_a_frame():
+    with pytest.raises(sd.SynthError):
+        sd.make_edit_pair(spec_of(), sd.RemoveObject(), 0)
+
+
 def test_inapplicable_ops_error():
     spec = spec_of(color="red", background="gray")
     with pytest.raises(sd.SynthError):
@@ -200,6 +220,39 @@ def test_every_sample_validates():
     for s in sd.sample_mixture(60, rng=rng, frames=8):
         s.validate()
         assert s.frames() in (1, 8)
+
+
+def edit_sample(frames=2):
+    pair = sd.make_edit_pair(spec_of(), sd.Recolor("blue"), frames)
+    return sd.Sample(kind="video_edit", spec=pair.spec, source=pair.source, instruction=pair.instruction,
+                     target=pair.target, preserved_mask=pair.preserved_mask, edited_spec=pair.edited_spec)
+
+
+def test_validate_rejects_sample_without_video():
+    spec = spec_of()
+    question, answer = sd.make_qa(spec, "shape")
+    for s in (sd.Sample(kind="text_to_video", spec=spec, caption_detailed=sd.caption(spec)),
+              sd.Sample(kind="video_understanding", spec=spec, question=question, answer=answer)):
+        with pytest.raises(sd.SynthError, match="needs a float video"):
+            s.validate()
+
+
+def test_validate_rejects_mask_frames_unlike_media():
+    s = edit_sample(frames=1)
+    s.validate()
+    s.preserved_mask = np.concatenate([s.preserved_mask, s.preserved_mask])
+    with pytest.raises(sd.SynthError, match="preserved_mask"):
+        s.validate()
+
+
+def test_validate_rejects_edit_without_media_after_shard_round_trip(tmp_path):
+    s = edit_sample()
+    s.source = s.target = None
+    with pytest.raises(sd.SynthError, match="source"):
+        s.validate()
+    (back,) = sd.read_shard(sd.write_shard([s], tmp_path / "s.bin"))
+    with pytest.raises(sd.SynthError, match="source"):
+        back.validate()
 
 
 # -- shards -----------------------------------------------------------------------
