@@ -52,33 +52,33 @@ class AttributeProbe:
     def accuracy(self, videos: list[np.ndarray], specs: list[sd.SceneSpec],
                  attrs: tuple[str, ...] = ("shape", "color", "motion")) -> dict:
         hits = {a: 0 for a in attrs}
-        for video, spec in zip(videos, specs):
+        for video, spec in zip(videos, specs, strict=True):
             pred = self.classify(video)
             for a in attrs:
                 hits[a] += int(pred[a] == getattr(spec, a))
         return {a: hits[a] / max(1, len(videos)) for a in attrs}
 
 
-def _fit_softmax(x: np.ndarray, y: np.ndarray, classes: int, *, steps: int,
-                 lr: float) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax regression from zero weights with AdamW; returns (W [F, C], b [C])."""
+def _fit_softmax(x: np.ndarray, y: np.ndarray, classes: int, *, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax regression from zero weights with AdamW at lr 0.1; returns (W [F, C], b [C])."""
     w = nx.Parameter(np.zeros((x.shape[1], classes), dtype=np.float32))
     b = nx.Parameter(np.zeros(classes, dtype=np.float32))
     xt = nx.Tensor(x)
     nx.fit([w, b], lambda step: nx.cross_entropy(nx.add(nx.matmul(xt, w.tensor), b.tensor), y),
-           steps=steps, lr=lr, weight_decay=1e-4)
+           steps=steps, lr=0.1, weight_decay=1e-4)
     return w.data.copy(), b.data.copy()
 
 
 def train_probe(encoder: pc.FrameEncoder, *, n_train: int = 600, frames: int = 8,
-                steps: int = 300, lr: float = 0.1, seed: int = 515) -> AttributeProbe:
-    rng = np.random.default_rng(seed)
+                steps: int = 300) -> AttributeProbe:
+    """Fit one softmax classifier per attribute on `n_train` renders of a fixed seed."""
+    rng = np.random.default_rng(515)
     specs = [sd.random_spec(rng) for _ in range(n_train)]
     feats = np.stack([probe_features(encoder, sd.render(s, frames)) for s in specs])
     probe = AttributeProbe(encoder=encoder)
     for attr, names in PROBE_ATTRS.items():
         targets = np.array([names.index(getattr(s, attr)) for s in specs])
-        probe.weights[attr] = _fit_softmax(feats, targets, len(names), steps=steps, lr=lr)
+        probe.weights[attr] = _fit_softmax(feats, targets, len(names), steps=steps)
     return probe
 
 
@@ -91,10 +91,9 @@ def probe_accuracy_on_renders(probe: AttributeProbe, *, n: int = 200, frames: in
 
 
 def linear_probe_shape_accuracy(encoder: pc.FrameEncoder, *, n_train: int = 400,
-                                n_test: int = 200, seed: int = 717,
-                                steps: int = 300, lr: float = 0.1) -> float:
+                                n_test: int = 200, steps: int = 300) -> float:
     """Single-frame shape probe used as the encoder pretraining gate."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(717)
 
     def batch(n):
         specs = [sd.random_spec(rng) for _ in range(n)]
@@ -109,6 +108,6 @@ def linear_probe_shape_accuracy(encoder: pc.FrameEncoder, *, n_train: int = 400,
 
     xtr, ytr = batch(n_train)
     xte, yte = batch(n_test)
-    w, b = _fit_softmax(xtr, ytr, len(sd.SHAPES), steps=steps, lr=lr)
+    w, b = _fit_softmax(xtr, ytr, len(sd.SHAPES), steps=steps)
     pred = np.argmax(xte @ w + b, axis=1)
     return float((pred == yte).mean())

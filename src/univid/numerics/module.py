@@ -14,13 +14,16 @@ class Parameter:
     """A named, optionally trainable tensor. Names are assigned hierarchically
     when the owning module tree is traversed."""
 
-    __slots__ = ("tensor", "trainable", "name")
+    __slots__ = ("tensor", "name")
 
     def __init__(self, data: np.ndarray, trainable: bool = True):
         self.tensor = Tensor(np.asarray(data), requires_grad=trainable)
         self.tensor.grad = np.zeros_like(self.tensor.data)
-        self.trainable = trainable
         self.name = ""
+
+    @property
+    def trainable(self) -> bool:
+        return self.tensor.requires_grad
 
     @property
     def data(self) -> np.ndarray:
@@ -31,7 +34,6 @@ class Parameter:
         return self.tensor.grad
 
     def set_trainable(self, flag: bool) -> None:
-        self.trainable = flag
         self.tensor.requires_grad = flag
 
     def __repr__(self):
@@ -91,45 +93,42 @@ def set_trainable_by_prefix(params: list[Parameter], prefixes: tuple[str, ...]) 
         p.set_trainable(any(p.name.startswith(pre) for pre in prefixes))
 
 
+# initial weight std of embeddings, attention and MLP layers
+TRANSFORMER_STD = 0.02
+
+
 def normal_init(rng: np.random.Generator, shape, std: float, dtype=np.float32) -> np.ndarray:
     return (rng.standard_normal(shape) * std).astype(dtype)
 
 
 class Linear(Module):
-    """y = x @ W + b with W stored [in, out]."""
+    """y = x @ W + b with W stored [in, out], initialized with std `std`
+    (default d_in ** -0.5), and b zero."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, *, std: float | None = None,
-                 bias: bool = True, zero_init: bool = False, dtype=np.float32):
+                 dtype=np.float32):
         super().__init__()
-        if zero_init:
-            w = np.zeros((d_in, d_out), dtype=dtype)
-        else:
-            w = normal_init(rng, (d_in, d_out), std if std is not None else d_in**-0.5, dtype)
-        self.weight = Parameter(w)
-        self.bias = Parameter(np.zeros(d_out, dtype=dtype)) if bias else None
+        self.weight = Parameter(normal_init(rng, (d_in, d_out), std if std is not None else d_in**-0.5, dtype))
+        self.bias = Parameter(np.zeros(d_out, dtype=dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.weight.tensor)
-        if self.bias is not None:
-            y = T.add(y, self.bias.tensor)
-        return y
+        return T.add(T.matmul(x, self.weight.tensor), self.bias.tensor)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5, dtype=np.float32):
+    def __init__(self, dim: int, dtype=np.float32):
         super().__init__()
         self.gamma = Parameter(np.ones(dim, dtype=dtype))
         self.beta = Parameter(np.zeros(dim, dtype=dtype))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.mul(T.layer_norm(x, eps=self.eps), self.gamma.tensor), self.beta.tensor)
+        return T.add(T.mul(T.layer_norm(x), self.gamma.tensor), self.beta.tensor)
 
 
 class Embedding(Module):
-    def __init__(self, vocab: int, dim: int, rng: np.random.Generator, *, std: float = 0.02, dtype=np.float32):
+    def __init__(self, vocab: int, dim: int, rng: np.random.Generator, *, dtype=np.float32):
         super().__init__()
-        self.table = Parameter(normal_init(rng, (vocab, dim), std, dtype))
+        self.table = Parameter(normal_init(rng, (vocab, dim), TRANSFORMER_STD, dtype))
 
     def __call__(self, ids: np.ndarray) -> Tensor:
         return T.embedding(self.table.tensor, ids)
@@ -153,16 +152,16 @@ class MultiHeadAttention(Module):
     """Self- or cross-attention. For cross-attention pass `kv` (dim may differ)."""
 
     def __init__(self, d_model: int, heads: int, rng: np.random.Generator, *,
-                 kv_dim: int | None = None, std: float = 0.02, dtype=np.float32):
+                 kv_dim: int | None = None, dtype=np.float32):
         super().__init__()
         if d_model % heads != 0:
             raise T.ShapeError("attention", f"d_model {d_model} not divisible by heads {heads}")
         kv_dim = kv_dim if kv_dim is not None else d_model
         self.heads = heads
-        self.wq = Linear(d_model, d_model, rng, std=std, dtype=dtype)
-        self.wk = Linear(kv_dim, d_model, rng, std=std, dtype=dtype)
-        self.wv = Linear(kv_dim, d_model, rng, std=std, dtype=dtype)
-        self.wo = Linear(d_model, d_model, rng, std=std, dtype=dtype)
+        self.wq = Linear(d_model, d_model, rng, std=TRANSFORMER_STD, dtype=dtype)
+        self.wk = Linear(kv_dim, d_model, rng, std=TRANSFORMER_STD, dtype=dtype)
+        self.wv = Linear(kv_dim, d_model, rng, std=TRANSFORMER_STD, dtype=dtype)
+        self.wo = Linear(d_model, d_model, rng, std=TRANSFORMER_STD, dtype=dtype)
 
     def __call__(self, x: Tensor, kv: Tensor | None = None, *, causal: bool = False,
                  bias: np.ndarray | None = None) -> Tensor:
@@ -178,34 +177,34 @@ class MultiHeadAttention(Module):
 
 
 class FeedForward(Module):
-    def __init__(self, d_model: int, hidden: int, rng: np.random.Generator, *, std: float = 0.02, dtype=np.float32):
+    def __init__(self, d_model: int, hidden: int, rng: np.random.Generator, *, dtype=np.float32):
         super().__init__()
-        self.fc1 = Linear(d_model, hidden, rng, std=std, dtype=dtype)
-        self.fc2 = Linear(hidden, d_model, rng, std=std, dtype=dtype)
+        self.fc1 = Linear(d_model, hidden, rng, std=TRANSFORMER_STD, dtype=dtype)
+        self.fc2 = Linear(hidden, d_model, rng, std=TRANSFORMER_STD, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(T.gelu(self.fc1(x)))
 
 
 class TransformerBlock(Module):
-    """Pre-norm block: self-attention, optional cross-attention, MLP."""
+    """Pre-norm block: self-attention, optional cross-attention, MLP of 4x width."""
 
     def __init__(self, d_model: int, heads: int, rng: np.random.Generator, *,
-                 mlp_ratio: int = 4, cross_dim: int | None = None, std: float = 0.02, dtype=np.float32):
+                 cross_dim: int | None = None, dtype=np.float32):
         super().__init__()
         self.ln1 = LayerNorm(d_model, dtype=dtype)
-        self.attn = MultiHeadAttention(d_model, heads, rng, std=std, dtype=dtype)
+        self.attn = MultiHeadAttention(d_model, heads, rng, dtype=dtype)
         if cross_dim is not None:
             self.ln_x = LayerNorm(d_model, dtype=dtype)
-            self.cross = MultiHeadAttention(d_model, heads, rng, kv_dim=cross_dim, std=std, dtype=dtype)
+            self.cross = MultiHeadAttention(d_model, heads, rng, kv_dim=cross_dim, dtype=dtype)
         else:
             self.cross = None
         self.ln2 = LayerNorm(d_model, dtype=dtype)
-        self.mlp = FeedForward(d_model, mlp_ratio * d_model, rng, std=std, dtype=dtype)
+        self.mlp = FeedForward(d_model, 4 * d_model, rng, dtype=dtype)
 
     def __call__(self, x: Tensor, *, causal: bool = False, cond: Tensor | None = None,
-                 cond_bias: np.ndarray | None = None, ablate_cross: bool = False) -> Tensor:
+                 cond_bias: np.ndarray | None = None) -> Tensor:
         x = T.add(x, self.attn(self.ln1(x), causal=causal))
-        if self.cross is not None and cond is not None and not ablate_cross:
+        if self.cross is not None and cond is not None:
             x = T.add(x, self.cross(self.ln_x(x), kv=cond, bias=cond_bias))
         return T.add(x, self.mlp(self.ln2(x)))

@@ -16,17 +16,16 @@ class MissingStateError(NumericsError):
 
 
 class AdamW:
-    """Moments are kept only for parameters that were trainable at construction.
-    Stepping a trainable parameter without state is an error; frozen
-    parameters are skipped and stay bitwise unchanged.
-    State is kept by position in `params`; `state_dict` keys it by unique name."""
+    """Betas (0.9, 0.999), eps 1e-8. Moments are kept, by position in `params`,
+    only for parameters that were trainable at construction. Stepping a
+    trainable parameter without state is an error; frozen parameters are
+    skipped and stay bitwise unchanged."""
 
-    def __init__(self, params: list[Parameter], lr: float = 1e-3, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.01):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Parameter], lr: float = 1e-3, weight_decay: float = 0.01):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
         self.moments: list[tuple[np.ndarray, np.ndarray] | None] = [
@@ -60,37 +59,6 @@ class AdamW:
             if self.weight_decay:
                 upd = upd + self.weight_decay * p.data
             p.tensor.data = (p.data - self.lr * upd).astype(p.data.dtype)
-
-    # -- checkpoint support ----------------------------------------------
-
-    def _names(self) -> list[str]:
-        names = [p.name for p in self.params]
-        dups = sorted({n for n in names if names.count(n) > 1})
-        if dups:
-            raise NumericsError(f"duplicate parameter names {dups}; state_dict keys moments by name")
-        return names
-
-    def state_dict(self) -> dict:
-        return {
-            "step_count": self.step_count,
-            "lr": self.lr,
-            "betas": (self.beta1, self.beta2),
-            "eps": self.eps,
-            "weight_decay": self.weight_decay,
-            "moments": {n: (s[0].copy(), s[1].copy()) for n, s in zip(self._names(), self.moments)
-                        if s is not None},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        names = self._names()
-        self.step_count = int(state["step_count"])
-        self.lr = float(state["lr"])
-        self.beta1, self.beta2 = (float(b) for b in state["betas"])
-        self.eps = float(state["eps"])
-        self.weight_decay = float(state["weight_decay"])
-        saved = state["moments"]
-        self.moments = [(np.array(saved[n][0]), np.array(saved[n][1])) if n in saved else None
-                        for n in names]
 
 
 def fit(params: list[Parameter], loss_at: Callable[[int], Tensor], *, steps: int, lr: float,

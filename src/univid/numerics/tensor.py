@@ -3,7 +3,7 @@
 A Tensor wraps a float32/float64 ndarray and records the computation graph
 whenever an input requires gradients. Kernels are plain numpy; everything is
 single-threaded and bitwise deterministic for fixed inputs. Every forward op
-checks its output for non-finite values unless the check is disabled.
+checks its output for non-finite values.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class DtypeError(NumericsError):
 
 
 class NonFiniteError(NumericsError):
-    """Raised when a forward op produces NaN or Inf and checks are on."""
+    """Raised when a forward op produces NaN or Inf."""
 
     def __init__(self, op: str):
         super().__init__(f"{op}: non-finite values in output")
@@ -49,7 +49,6 @@ class BackwardError(NumericsError):
 
 
 _grad_enabled = True
-_finite_checks = True
 
 
 @contextlib.contextmanager
@@ -64,26 +63,13 @@ def no_grad():
         _grad_enabled = prev
 
 
-@contextlib.contextmanager
-def finite_checks(enabled: bool):
-    """Debug switch for the non-finite output check."""
-    global _finite_checks
-    prev = _finite_checks
-    _finite_checks = enabled
-    try:
-        yield
-    finally:
-        _finite_checks = prev
-
-
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if _finite_checks:
-        # float32: single-pass probe, the float64 sum is non-finite iff data
-        # holds nan/inf (float32 finites cannot overflow a float64 accumulator).
-        # float64: large finites can overflow that sum, so check exactly.
-        exact = data.dtype == np.float64
-        if not (np.isfinite(data).all() if exact else np.isfinite(data.sum(dtype=np.float64))):
-            raise NonFiniteError(op)
+    # float32: single-pass probe, the float64 sum is non-finite iff data
+    # holds nan/inf (float32 finites cannot overflow a float64 accumulator).
+    # float64: large finites can overflow that sum, so check exactly.
+    exact = data.dtype == np.float64
+    if not (np.isfinite(data).all() if exact else np.isfinite(data.sum(dtype=np.float64))):
+        raise NonFiniteError(op)
 
 
 class Tensor:
@@ -151,10 +137,10 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self._op})"
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add `g`, which has this tensor's shape, to the gradient; the first
+        `g` is copied, so it may be a view or shared with another parent."""
         if self.grad is None:
             self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-            if self.grad.shape != self.data.shape:
-                self.grad = np.broadcast_to(self.grad, self.data.shape).copy()
         else:
             self.grad += g
 
@@ -599,6 +585,9 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(g, axis)
+        # a C-order copy: `_accumulate` would keep the view's memory order,
+        # which is not C when a middle axis is broadcast, and later matmuls
+        # on that gradient would round differently
         a._accumulate(np.broadcast_to(gg, a.shape).copy())
 
     return Tensor._from_op(out_data, (a,), "sum", bwd)
@@ -705,10 +694,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, *, causal: bool = False, bias: np
     return matmul(softmax(scores, axis=-1), v)
 
 
-def l2_normalize(a: Tensor, eps: float = 1e-8) -> Tensor:
-    """Unit-normalize over the last axis."""
+def l2_normalize(a: Tensor) -> Tensor:
+    """Unit-normalize over the last axis: a / sqrt(sum(a * a) + 1e-8)."""
     sq = sum_(mul(a, a), axis=-1, keepdims=True)
-    return div(a, sqrt(add(sq, Tensor(np.asarray(eps, dtype=a.dtype)))))
+    return div(a, sqrt(add(sq, Tensor(np.asarray(1e-8, dtype=a.dtype)))))
 
 
 # -- losses -------------------------------------------------------------------

@@ -181,12 +181,6 @@ def pack_parts(parts: list, *, video_frames: int = 8) -> MultimodalSequence:
     return MultimodalSequence(elements=elements)
 
 
-def pack(text_ids: list[int], visual_blocks: list[tuple[str, np.ndarray]] | None = None,
-         *, video_frames: int = 8) -> MultimodalSequence:
-    """Text followed by visual blocks, each wrapped in opener/closer tokens."""
-    return pack_parts([("text", text_ids), *(visual_blocks or [])], video_frames=video_frames)
-
-
 # -- parsing ---------------------------------------------------------------------
 
 
@@ -199,7 +193,7 @@ class ParsedSequence:
 
 def parse(seq: MultimodalSequence | list, *,
           allowed_video_lengths: tuple[int, ...] = DEFAULT_VIDEO_FRAMES) -> ParsedSequence:
-    """Validate and invert `pack`. Raises a ParseError subclass at the first
+    """Validate and invert `pack_parts`. Raises a ParseError subclass at the first
     violation for malformed input."""
     elements = seq.elements if isinstance(seq, MultimodalSequence) else list(seq)
     text_segments: list = []

@@ -389,8 +389,7 @@ _SAMPLE_IO = [(f.name, *_FIELD_IO[f.name]) for f in dataclasses.fields(Sample)]
 _REQUIRED = sum(1 << i for i, f in enumerate(dataclasses.fields(Sample)) if f.default is dataclasses.MISSING)
 
 
-def write_shard(samples: list[Sample], path: str | Path, *, seed: int | None = None,
-                ratios=TASK_RATIOS) -> Path:
+def write_shard(samples: list[Sample], path: str | Path, *, seed: int | None = None) -> Path:
     path = Path(path)
     w = codec.Writer(SHARD_MAGIC, SHARD_VERSION)
     w.pack(codec.U32, len(samples))
@@ -407,7 +406,7 @@ def write_shard(samples: list[Sample], path: str | Path, *, seed: int | None = N
         "count": len(samples),
         "counts_per_task": collections.Counter(s.kind for s in samples),
         "seed": seed,
-        "ratio_table": {t: r for t, r in zip(TASKS, np.asarray(ratios, dtype=float).tolist())},
+        "ratio_table": dict(zip(TASKS, TASK_RATIOS)),
     }
     path.with_suffix(path.suffix + ".manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return path

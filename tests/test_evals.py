@@ -1,6 +1,7 @@
 """Attribute probes on a tiny, untrained frame encoder."""
 
 import numpy as np
+import pytest
 
 from univid import evals
 from univid import perception as pc
@@ -30,6 +31,15 @@ def test_classify_names_and_accuracy_range():
         assert pred[attr] in names
     for value in probe.accuracy(videos, specs).values():
         assert 0.0 <= value <= 1.0
+
+
+def test_accuracy_rejects_videos_and_specs_of_different_lengths():
+    probe = small_probe()
+    rng = np.random.default_rng(1)
+    specs = [sd.random_spec(rng) for _ in range(4)]
+    videos = [sd.render(s, 2) for s in specs]
+    with pytest.raises(ValueError):
+        probe.accuracy(videos, specs[:3])
 
 
 def test_linear_probe_shape_accuracy_in_unit_range():

@@ -1,5 +1,6 @@
 """Causal video autoencoder: causality, frame-count rules, shape errors and
-the latent normalization round trip; both pretraining entry points at tiny size."""
+the latent normalization round trip; the frame encoder's shape rules and unit
+embeddings; both pretraining entry points at tiny size."""
 
 import functools
 
@@ -14,6 +15,11 @@ from univid import synthdata as sd
 @functools.cache
 def vae() -> pc.CausalVideoVae:
     return pc.CausalVideoVae()
+
+
+@functools.cache
+def encoder() -> pc.FrameEncoder:
+    return pc.FrameEncoder()
 
 
 def video(frames: int, seed: int = 0) -> np.ndarray:
@@ -61,6 +67,42 @@ def test_shape_errors():
         vae().decode(latent, frames=3)  # 3 frames make 2 latent frames, not 4
     with pytest.raises(nx.ShapeError, match="vae_decode"):
         vae().decode(latent[:, :3])
+
+
+def test_batch_entry_points_check_shapes():
+    with pytest.raises(nx.ShapeError, match="vae_encode"):
+        vae().encode_batch(np.zeros((2, 8, 3, 16, 16), np.float32))
+    with pytest.raises(nx.ShapeError, match="vae_encode"):
+        vae().encode_batch(np.stack([video(5), video(5, 1)]))  # the frame-count rule of `encode`
+    with pytest.raises(nx.ShapeError, match="vae_decode"):
+        vae().decode_batch(np.zeros((2, 4, 3, pc.LATENT_SIZE, pc.LATENT_SIZE), np.float32))
+    with pytest.raises(nx.ShapeError, match="vae_decode"):
+        vae().decode_batch(np.zeros((4, pc.LATENT_CHANNELS, pc.LATENT_SIZE, pc.LATENT_SIZE), np.float32))
+    with pytest.raises(nx.ShapeError, match="embed_frames"):
+        encoder().embed_frames(np.zeros((2, 3, 16, 16), np.float32))
+
+
+# -- frame encoder -------------------------------------------------------------------
+
+
+def test_encode_frames_rejects_invalid_frame_counts():
+    with pytest.raises(nx.ShapeError, match="encode_frames"):
+        encoder().encode_frames(video(5))
+    with pytest.raises(nx.ShapeError, match="encode_frames"):
+        encoder().encode_frames(video(8)[0])  # one frame without its time axis
+
+
+@pytest.mark.parametrize("frames", pc.VALID_FRAME_COUNTS)
+def test_encode_frames_gives_unit_rows_without_a_graph(frames):
+    z = encoder().encode_frames(video(frames))
+    assert z.shape == (frames, pc.EMBED_DIM) and not z.requires_grad
+    assert np.allclose(np.linalg.norm(z.numpy(), axis=1), 1.0, atol=1e-5)
+
+
+def test_embed_frames_takes_any_frame_count():
+    with nx.no_grad():
+        z = encoder().embed_frames(video(3))
+    assert z.shape == (3, pc.EMBED_DIM)
 
 
 def test_latent_normalize_round_trip():

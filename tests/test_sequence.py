@@ -20,13 +20,13 @@ def test_vocabulary_layout():
 def test_pack_text_plus_video_length():
     rng = np.random.default_rng(0)
     emb = rng.standard_normal((8, sq.VISUAL_DIM)).astype(np.float32)
-    seq = sq.pack(sq.encode_text("cat"), [("video", emb)], video_frames=8)
+    seq = sq.pack_parts([("text", sq.encode_text("cat")), ("video", emb)], video_frames=8)
     assert len(seq) == 3 + 1 + 8 + 1
     assert sq.parse(seq).spans == [sq.Span("video", 3, 8)]
 
 
 def test_pack_pure_text():
-    seq = sq.pack(sq.encode_text("hello"), [])
+    seq = sq.pack_parts([("text", sq.encode_text("hello"))])
     assert len(seq) == 5
     assert sq.parse(seq).spans == []
 
@@ -35,12 +35,12 @@ def test_pack_wrong_frame_count_errors():
     rng = np.random.default_rng(0)
     emb = rng.standard_normal((7, sq.VISUAL_DIM)).astype(np.float32)
     with pytest.raises(sq.PackError):
-        sq.pack([], [("video", emb)], video_frames=8)
+        sq.pack_parts([("video", emb)], video_frames=8)
 
 
 def test_pack_wrong_dim_errors():
     with pytest.raises(sq.PackError):
-        sq.pack([], [("image", np.zeros((1, 32), dtype=np.float32))])
+        sq.pack_parts([("image", np.zeros((1, 32), dtype=np.float32))])
 
 
 @st.composite
@@ -70,7 +70,7 @@ def test_parse_empty():
 
 
 def test_unmatched_opener_reports_its_index():
-    seq = sq.pack(sq.encode_text("ab"), [])
+    seq = sq.pack_parts([("text", sq.encode_text("ab"))])
     seq.elements.append(sq.TextToken(sq.BOV))
     with pytest.raises(sq.UnmatchedOpenerError) as exc:
         sq.parse(seq)
@@ -113,7 +113,7 @@ def test_distinct_error_kinds():
 def test_video_span_length_validation():
     rng = np.random.default_rng(5)
     emb12 = rng.standard_normal((12, sq.VISUAL_DIM)).astype(np.float32)
-    seq = sq.pack([], [("video", emb12)], video_frames=12)
+    seq = sq.pack_parts([("video", emb12)], video_frames=12)
     sq.parse(seq)  # 12 allowed by default
     with pytest.raises(sq.SpanLengthError):
         sq.parse(seq, allowed_video_lengths=(8,))
@@ -135,7 +135,7 @@ def test_empty_sequence_serializes_to_documented_header():
 
 
 def test_corrupted_tag_byte_reports_offset():
-    seq = sq.pack(sq.encode_text("xy"), [])
+    seq = sq.pack_parts([("text", sq.encode_text("xy"))])
     data = bytearray(sq.serialize(seq))
     data[sq.HEADER_SIZE] = 7  # first element tag
     with pytest.raises(sq.DecodeError) as exc:

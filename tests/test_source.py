@@ -1,12 +1,22 @@
-"""Source hygiene: no module under src/ imports a name it never uses, and
-only `numerics` runs backward passes or builds optimizers, so every training
-loop goes through `numerics.fit`."""
+"""Source hygiene: no module under src/ imports a name it never uses; only
+`numerics` runs backward passes or builds optimizers, so every training loop
+goes through `numerics.fit`; and every public function, class and method in
+src/ has a caller."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 NUMERICS = SRC / "univid" / "numerics"
+
+# public names with no caller yet, kept for the ROADMAP item that will call them
+RESERVED = {
+    "Embedding": "item 4: text tokens into the backbone",
+    "set_trainable_by_prefix": "items 4-5: freezing modules per training stage",
+    "psnr": "item 5: the edit gate inside the preserved mask",
+    "probe_accuracy_on_renders": "item 5: the probe ceiling on real renders",
+}
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -47,3 +57,42 @@ def test_training_loops_go_through_fit():
     assert modules
     found = {str(p.relative_to(SRC)): loop_calls(ast.parse(p.read_text(), str(p))) for p in modules}
     assert not {path: calls for path, calls in found.items() if calls}
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    """Public top-level functions and classes, and the public methods of those classes."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                found += [f"{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return found
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names read, attributes taken, and identifiers spelled as strings (names
+    patched or looked up by `getattr`). A definition's own name and an import
+    alias are neither, so re-exports do not count as use."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # this file spells the reserved names, so it is left out of the callers
+    trees = {p: ast.parse(p.read_text(), str(p)) for root in ("src", "tests", "perfbench")
+             for p in sorted((ROOT / root).rglob("*.py")) if p != Path(__file__).resolve()}
+    used = set().union(*map(referenced_names, trees.values()))
+    dead = [f"{p.relative_to(SRC)}: {name}" for p, tree in trees.items() if SRC in p.parents
+            for name in public_definitions(tree) if name.split(".")[-1] not in used | RESERVED.keys()]
+    assert not dead
+    # a reserved name that gains a caller leaves RESERVED
+    assert not sorted(RESERVED.keys() & used)
