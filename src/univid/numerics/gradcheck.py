@@ -56,15 +56,15 @@ def grad_check(loss_fn, params: list[Parameter]) -> GradCheckReport:
     """
     h = 1e-5
     for p in params:
-        p.tensor.grad = np.zeros_like(p.data)
+        p.grad = np.zeros_like(p.data)
     loss = loss_fn()
     loss.backward()
-    autodiff = {p.name: p.tensor.grad.copy() for p in params}
+    autodiff = {p.name: p.grad.copy() for p in params}
 
     report = GradCheckReport()
     with T.no_grad():
         for p in params:
-            flat = p.tensor.data.reshape(-1)
+            flat = p.data.reshape(-1)
             num = np.zeros(flat.size, dtype=np.float64)
             for c in range(flat.size):
                 orig = flat[c]

@@ -1,4 +1,8 @@
-"""Parameters, module tree, and the shared transformer building blocks."""
+"""Parameters, module tree, and the shared transformer building blocks.
+
+A `Parameter` is a leaf `Tensor`, so layers pass it straight into ops; its
+`requires_grad` is the one trainable flag, which `freeze`, `AdamW` and
+`set_trainable_by_prefix` read and write."""
 
 from __future__ import annotations
 
@@ -10,34 +14,17 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-class Parameter:
-    """A named, optionally trainable tensor. Names are assigned hierarchically
-    when the owning module tree is traversed."""
+class Parameter(Tensor):
+    """A named leaf tensor that starts with a zero gradient; `trainable` sets
+    `requires_grad`. Names are assigned hierarchically when the owning module
+    tree is traversed."""
 
-    __slots__ = ("tensor", "name")
+    __slots__ = ("name",)
 
     def __init__(self, data: np.ndarray, trainable: bool = True):
-        self.tensor = Tensor(np.asarray(data), requires_grad=trainable)
-        self.tensor.grad = np.zeros_like(self.tensor.data)
+        super().__init__(data, requires_grad=trainable)
+        self.grad = np.zeros_like(self.data)
         self.name = ""
-
-    @property
-    def trainable(self) -> bool:
-        return self.tensor.requires_grad
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @property
-    def grad(self) -> np.ndarray:
-        return self.tensor.grad
-
-    def set_trainable(self, flag: bool) -> None:
-        self.tensor.requires_grad = flag
-
-    def __repr__(self):
-        return f"Parameter({self.name or '?'}, shape={self.tensor.shape}, trainable={self.trainable})"
 
 
 class Module:
@@ -67,7 +54,7 @@ class Module:
 
     def freeze(self) -> None:
         for p in self.parameters():
-            p.set_trainable(False)
+            p.requires_grad = False
 
 
 class ModuleList(Module):
@@ -90,7 +77,7 @@ class ModuleList(Module):
 def set_trainable_by_prefix(params: list[Parameter], prefixes: tuple[str, ...]) -> None:
     """Freeze everything, then unfreeze parameters whose name starts with a prefix."""
     for p in params:
-        p.set_trainable(any(p.name.startswith(pre) for pre in prefixes))
+        p.requires_grad = any(p.name.startswith(pre) for pre in prefixes)
 
 
 # initial weight std of embeddings, attention and MLP layers
@@ -112,7 +99,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(d_out, dtype=dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.weight.tensor), self.bias.tensor)
+        return T.add(T.matmul(x, self.weight), self.bias)
 
 
 class LayerNorm(Module):
@@ -122,7 +109,7 @@ class LayerNorm(Module):
         self.beta = Parameter(np.zeros(dim, dtype=dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.mul(T.layer_norm(x), self.gamma.tensor), self.beta.tensor)
+        return T.add(T.mul(T.layer_norm(x), self.gamma), self.beta)
 
 
 class Embedding(Module):
@@ -131,7 +118,7 @@ class Embedding(Module):
         self.table = Parameter(normal_init(rng, (vocab, dim), TRANSFORMER_STD, dtype))
 
     def __call__(self, ids: np.ndarray) -> Tensor:
-        return T.embedding(self.table.tensor, ids)
+        return T.take(self.table, ids)
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:

@@ -1,5 +1,5 @@
 """AdamW with decoupled weight decay, and `fit`, the one training loop.
-Frozen parameters are never touched."""
+Frozen parameters (`requires_grad` False) are never touched."""
 
 from __future__ import annotations
 
@@ -17,9 +17,11 @@ class MissingStateError(NumericsError):
 
 class AdamW:
     """Betas (0.9, 0.999), eps 1e-8. Moments are kept, by position in `params`,
-    only for parameters that were trainable at construction. Stepping a
-    trainable parameter without state is an error; frozen parameters are
-    skipped and stay bitwise unchanged."""
+    only for parameters that required grad at construction. Stepping such a
+    parameter without state is an error; frozen parameters are skipped and
+    stay bitwise unchanged. Each step reads `.grad`, which a `Parameter`
+    always holds (zero at construction and after `zero_grad`), and replaces
+    `.data`."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -29,11 +31,11 @@ class AdamW:
         self.weight_decay = float(weight_decay)
         self.step_count = 0
         self.moments: list[tuple[np.ndarray, np.ndarray] | None] = [
-            (np.zeros_like(p.data), np.zeros_like(p.data)) if p.trainable else None for p in self.params]
+            (np.zeros_like(p.data), np.zeros_like(p.data)) if p.requires_grad else None for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
-            p.tensor.grad = np.zeros_like(p.data)
+            p.grad = np.zeros_like(p.data)
 
     def step(self) -> None:
         self.step_count += 1
@@ -41,13 +43,11 @@ class AdamW:
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
         for i, (p, state) in enumerate(zip(self.params, self.moments)):
-            if not p.trainable:
+            if not p.requires_grad:
                 continue
             if state is None:
                 raise MissingStateError(f"no optimizer state for trainable parameter #{i} {p.name!r}")
-            g = p.tensor.grad
-            if g is None:
-                g = np.zeros_like(p.data)
+            g = p.grad
             m, v = state
             m *= self.beta1
             m += (1.0 - self.beta1) * g
@@ -58,7 +58,7 @@ class AdamW:
             upd = m_hat / (np.sqrt(v_hat) + self.eps)
             if self.weight_decay:
                 upd = upd + self.weight_decay * p.data
-            p.tensor.data = (p.data - self.lr * upd).astype(p.data.dtype)
+            p.data = (p.data - self.lr * upd).astype(p.data.dtype)
 
 
 def fit(params: list[Parameter], loss_at: Callable[[int], Tensor], *, steps: int, lr: float,

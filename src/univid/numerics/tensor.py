@@ -3,7 +3,8 @@
 A Tensor wraps a float32/float64 ndarray and records the computation graph
 whenever an input requires gradients. Kernels are plain numpy; everything is
 single-threaded and bitwise deterministic for fixed inputs. Every forward op
-checks its output for non-finite values.
+checks its output for non-finite values. Each op has one call form, the
+module-level function; a Tensor's only operator is indexing.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-
-FLOAT_DTYPES = (np.float32, np.float64)
 
 
 class NumericsError(Exception):
@@ -75,8 +74,8 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_op", "_done")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             arr = arr.astype(np.float32)
         self.data = arr
@@ -180,59 +179,9 @@ class Tensor:
                 if node is not self:
                     node.grad = None
 
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other, self.dtype))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other, self.dtype), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, e):
-        return power(self, e)
-
+    # the only operator method: perception slices with t[...], and slice_ is not exported
     def __getitem__(self, key):
         return slice_(self, key)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
 
 
 def _lift(x, dtype) -> Tensor:
@@ -321,41 +270,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (a, b), "div", bwd)
 
 
-def neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        a._accumulate(-g)
-
-    return Tensor._from_op(-a.data, (a,), "neg", bwd)
-
-
-def power(a: Tensor, e: float) -> Tensor:
-    e = float(e)
-    out_data = a.data**e
-
-    def bwd(g):
-        a._accumulate(g * e * a.data ** (e - 1.0))
-
-    return Tensor._from_op(out_data, (a,), "power", bwd)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def bwd(g):
-        a._accumulate(g * out_data)
-
-    return Tensor._from_op(out_data, (a,), "exp", bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    out_data = np.log(a.data)
-
-    def bwd(g):
-        a._accumulate(g / a.data)
-
-    return Tensor._from_op(out_data, (a,), "log", bwd)
-
-
 def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
 
@@ -363,15 +277,6 @@ def sqrt(a: Tensor) -> Tensor:
         a._accumulate(g * 0.5 / out_data)
 
     return Tensor._from_op(out_data, (a,), "sqrt", bwd)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def bwd(g):
-        a._accumulate(g * (1.0 - out_data * out_data))
-
-    return Tensor._from_op(out_data, (a,), "tanh", bwd)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -394,8 +299,6 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if not isinstance(b, Tensor):
-        b = Tensor(np.asarray(b, dtype=a.dtype))
     if a.dtype != b.dtype:
         raise DtypeError("matmul", f"dtype mismatch: {a.dtype} vs {b.dtype}")
     if a.ndim < 2 or b.ndim < 2:
@@ -493,8 +396,11 @@ def window(a: Tensor, axes: tuple, size: int, stride: int, before: int, after: i
     Backward adds each entry back at its offset into one zeroed buffer.
     """
     axes = tuple(axes)
-    if not all(0 <= ax < a.ndim - 1 for ax in axes):
-        raise ShapeError("window", f"axes {axes} must lie before the last (channel) axis of {a.shape}")
+    if a.ndim < 1 or not all(0 <= ax < a.ndim - 1 for ax in axes) or len(set(axes)) != len(axes):
+        raise ShapeError("window", f"axes {axes} must be distinct and lie before the last (channel) axis of {a.shape}")
+    if size < 1 or stride < 1 or before < 0 or after < 0:
+        raise ShapeError("window", f"size {size} and stride {stride} must be positive, "
+                                   f"padding ({before}, {after}) not negative")
     widths = [(before, after) if ax in axes else (0, 0) for ax in range(a.ndim)]
     padded_shape = tuple(n + w0 + w1 for n, (w0, w1) in zip(a.shape, widths))
     if any(padded_shape[ax] < size for ax in axes):
@@ -530,7 +436,10 @@ def slice_(a: Tensor, key) -> Tensor:
     for k in key:
         if not isinstance(k, (int, np.integer, slice)):
             raise ShapeError("slice", f"unsupported index {k!r}; use ints and slices")
-    out_data = a.data[key]
+    try:
+        out_data = a.data[key]
+    except (IndexError, ValueError) as e:  # an int out of range, too many indices, a zero step
+        raise ShapeError("slice", f"{key} on {a.shape}: {e}") from None
 
     def bwd(g):
         buf = np.zeros_like(a.data)
@@ -560,8 +469,12 @@ def take(a: Tensor, indices: np.ndarray) -> Tensor:
 def add_rows(base: Tensor, indices: np.ndarray, rows: Tensor) -> Tensor:
     """out = base with rows[i] added at position indices[i] (axis 0)."""
     idx = np.asarray(indices)
-    if rows.shape[0] != idx.shape[0]:
-        raise ShapeError("add_rows", f"{rows.shape[0]} rows for {idx.shape[0]} indices")
+    if idx.dtype.kind not in "iu" or idx.ndim != 1:
+        raise ShapeError("add_rows", "indices must be a 1-d integer array")
+    if base.dtype != rows.dtype:
+        raise DtypeError("add_rows", f"dtype mismatch: {base.dtype} vs {rows.dtype}")
+    if base.ndim < 1 or rows.shape != (idx.shape[0], *base.shape[1:]):
+        raise ShapeError("add_rows", f"rows {rows.shape} do not fit {idx.shape[0]} indices into {base.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= base.shape[0]):
         raise ShapeError("add_rows", "index out of range")
     out_data = base.data.copy()
@@ -576,7 +489,18 @@ def add_rows(base: Tensor, indices: np.ndarray, rows: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (base, rows), "add_rows", bwd)
 
 
+def _axes(op: str, a: Tensor, axis) -> tuple:
+    """`axis` (None, an int or a tuple of ints) as the distinct non-negative axes of `a`."""
+    if axis is None:
+        return tuple(range(a.ndim))
+    try:
+        return np.lib.array_utils.normalize_axis_tuple(axis, a.ndim)
+    except ValueError as e:  # out of range or repeated
+        raise ShapeError(op, f"axis {axis} on {a.shape}: {e}") from None
+
+
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    _axes("sum", a, axis)
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
     if np.isscalar(out_data) or out_data.ndim == 0:
         out_data = np.asarray(out_data, dtype=a.dtype)
@@ -594,12 +518,7 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([a.shape[ax] for ax in axis]))
-    else:
-        n = a.shape[axis]
+    n = math.prod(a.shape[ax] for ax in _axes("mean", a, axis))
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
 
 
@@ -620,28 +539,14 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return Tensor._from_op(out_data, (a,), "softmax", bwd)
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError("log_softmax", f"axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
-    probs = np.exp(out_data)
-
-    def bwd(g):
-        a._accumulate(g - probs * g.sum(axis=axis, keepdims=True))
-
-    return Tensor._from_op(out_data, (a,), "log_softmax", bwd)
-
-
-def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis (pre-affine)."""
+def layer_norm(a: Tensor) -> Tensor:
+    """Normalize over the last axis (pre-affine), with variance epsilon 1e-5."""
     if a.ndim < 1:
         raise ShapeError("layer_norm", "needs at least one axis")
     mu = a.data.mean(axis=-1, keepdims=True)
     xc = a.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     out_data = (xc * inv).astype(a.dtype)
 
     def bwd(g):
@@ -649,15 +554,6 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
         a._accumulate(gx.astype(a.dtype))
 
     return Tensor._from_op(out_data, (a,), "layer_norm", bwd)
-
-
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    ids = np.asarray(ids)
-    if ids.dtype.kind not in "iu":
-        raise ShapeError("embedding", "ids must be integers")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ShapeError("embedding", f"id out of range for vocab {table.shape[0]}")
-    return take(table, ids)
 
 
 _MASK_CACHE: dict = {}

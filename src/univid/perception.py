@@ -77,7 +77,7 @@ class FrameEncoder(nx.Module):
         frames = _as_frames(frames, ("N",), "embed_frames")
         n, p, g = frames.shape[0], ENCODER_PATCH, FRAME_SIZE // ENCODER_PATCH
         x = frames.reshape(n, 3, g, p, g, p).transpose(0, 2, 4, 1, 3, 5)  # [N, g, g, 3, p, p]
-        h = nx.add(self.patch_embed(Tensor(x.reshape(n, g * g, 3 * p * p))), self.pos.tensor)
+        h = nx.add(self.patch_embed(Tensor(x.reshape(n, g * g, 3 * p * p))), self.pos)
         for blk in self.blocks:
             h = blk(h)
         pooled = nx.mean(h, axis=1)
@@ -258,8 +258,8 @@ class CausalVideoVae(nx.Module):
     # latent normalization for the flow-matching space
 
     def set_latent_stats(self, mean: np.ndarray, std: np.ndarray) -> None:
-        self.latent_mean.tensor.data = np.asarray(mean, dtype=np.float32)
-        self.latent_std.tensor.data = np.asarray(std, dtype=np.float32)
+        self.latent_mean.data = np.asarray(mean, dtype=np.float32)
+        self.latent_std.data = np.asarray(std, dtype=np.float32)
 
     def normalize_latent(self, z: np.ndarray) -> np.ndarray:
         m = self.latent_mean.data.reshape(1, -1, 1, 1)

@@ -169,9 +169,7 @@ def parse_caption(text: str) -> dict:
 QUESTIONS = ("color", "shape", "motion", "background")
 
 
-def make_qa(spec: SceneSpec, which: str | None = None, rng: np.random.Generator | None = None) -> tuple[str, str]:
-    if which is None:
-        which = str((rng or np.random.default_rng(spec.seed)).choice(QUESTIONS))
+def make_qa(spec: SceneSpec, which: str) -> tuple[str, str]:
     if which == "color":
         return f"what color is the {spec.shape}?", spec.color
     if which == "shape":
@@ -317,7 +315,7 @@ def build_sample(kind: str, rng: np.random.Generator, frames: int = 8) -> Sample
     spec = random_spec(rng)
     n = 1 if kind.startswith("image") or kind == "text_to_image" else frames
     if kind in ("image_understanding", "video_understanding"):
-        question, answer = make_qa(spec, rng=rng)
+        question, answer = make_qa(spec, str(rng.choice(QUESTIONS)))
         return Sample(kind=kind, spec=spec, question=question, answer=answer,
                       video=render(spec, n))
     if kind in ("text_to_image", "text_to_video"):

@@ -139,7 +139,7 @@ def pretrained(name: str, run: int = 0):
 def test_pretrain_returns_finite_losses_and_frozen_model(name):
     model, history = pretrained(name)
     assert len(history) == 3 and np.isfinite(history).all()
-    assert not any(p.trainable for p in model.parameters())
+    assert not any(p.requires_grad for p in model.parameters())
 
 
 @pytest.mark.parametrize("name", PRETRAIN)

@@ -1,9 +1,10 @@
 """Source hygiene: no module under src/ imports a name it never uses; only
 `numerics` runs backward passes or builds optimizers, so every training loop
-goes through `numerics.fit`; and every public function, class and method in
-src/ has a caller."""
+goes through `numerics.fit`; every public function, class and method in src/
+has a caller; and each tensor op has one call form, the function."""
 
 import ast
+import operator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,3 +97,25 @@ def test_every_public_name_has_a_caller():
     assert not dead
     # a reserved name that gains a caller leaves RESERVED
     assert not sorted(RESERVED.keys() & used)
+
+
+# the special methods behind the `operator` module's functions (in-place forms
+# included), and their reflected forms
+OPERATOR_METHODS = {f"__{prefix}{name.rstrip('_')}__" for name in operator.__all__ for prefix in ("", "r")}
+
+
+def method_aliases(tree: ast.Module) -> list[str]:
+    """Methods of `Tensor` that are a second call form of an op: an operator
+    method other than `__getitem__`, or a method named like a public function
+    of the module (a trailing underscore ignored, so `sum` matches `sum_`)."""
+    functions = {node.name.rstrip("_") for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    tensor = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Tensor")
+    methods = [item.name for item in tensor.body if isinstance(item, ast.FunctionDef)]
+    return [name for name in methods
+            if (name in OPERATOR_METHODS and name != "__getitem__") or name in functions]
+
+
+def test_tensor_ops_have_one_call_form():
+    path = NUMERICS / "tensor.py"
+    assert not method_aliases(ast.parse(path.read_text(), str(path)))
