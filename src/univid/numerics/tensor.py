@@ -356,6 +356,8 @@ def transpose(a: Tensor, axes: tuple) -> Tensor:
 
 
 def swap_axes(a: Tensor, ax1: int, ax2: int) -> Tensor:
+    if not (-a.ndim <= ax1 < a.ndim and -a.ndim <= ax2 < a.ndim):
+        raise ShapeError("swap_axes", f"axes ({ax1}, {ax2}) invalid for ndim {a.ndim}")
     axes = list(range(a.ndim))
     axes[ax1], axes[ax2] = axes[ax2], axes[ax1]
     return transpose(a, tuple(axes))
@@ -437,7 +439,7 @@ def slice_(a: Tensor, key) -> Tensor:
         if not isinstance(k, (int, np.integer, slice)):
             raise ShapeError("slice", f"unsupported index {k!r}; use ints and slices")
     try:
-        out_data = a.data[key]
+        out_data = np.asarray(a.data[key])  # an int on every axis gives a numpy scalar, kept as a 0-d array
     except (IndexError, ValueError) as e:  # an int out of range, too many indices, a zero step
         raise ShapeError("slice", f"{key} on {a.shape}: {e}") from None
 
@@ -452,6 +454,8 @@ def slice_(a: Tensor, key) -> Tensor:
 def take(a: Tensor, indices: np.ndarray) -> Tensor:
     """Gather rows along axis 0; backward scatter-adds."""
     idx = np.asarray(indices)
+    if a.ndim == 0:
+        raise ShapeError("take", "cannot gather rows of a 0-d tensor")
     if idx.dtype.kind not in "iu":
         raise ShapeError("take", "indices must be integers")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):

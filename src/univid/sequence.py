@@ -3,7 +3,9 @@
 Text is character-level over the 7-bit range (ids 0..127); four special ids
 follow for span delimiters, giving a 132-token vocabulary. Visual content
 travels as continuous float32 vectors wrapped in opener/closer spans: image
-spans hold exactly one vector, video spans hold exactly one vector per frame.
+spans hold exactly one vector, video spans one vector per frame, for each
+frame count in VIDEO_FRAMES. A sequence is two columns: its token ids, with
+VISUAL at each visual token, and the vectors of those visual tokens in order.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ BOV = 130
 EOV = 131
 VOCAB = 132
 
+VISUAL = -1  # the id of a visual token; its vector is the sequence's next vector row
 VISUAL_DIM = 64
 IMAGE_SPAN_TOKENS = 1
-DEFAULT_VIDEO_FRAMES = (8, 12)
+VIDEO_FRAMES = (8, 12)
 
 # control-range text ids reserved as task markers in the text stream
 TASK_UNDERSTAND = 1
@@ -36,6 +39,7 @@ TASK_IDS = (TASK_UNDERSTAND, TASK_GENERATE, TASK_EDIT, TASK_THINK)
 
 _OPENERS = {BOI: "image", BOV: "video"}
 _CLOSERS = {EOI: "image", EOV: "video"}
+_SPAN_LENGTHS = {"image": (IMAGE_SPAN_TOKENS,), "video": VIDEO_FRAMES}
 
 
 class SequenceError(Exception):
@@ -82,28 +86,7 @@ class SpanContentError(ParseError):
     pass
 
 
-# -- elements -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TextToken:
-    id: int
-
-
-class VisualToken:
-    __slots__ = ("vector",)
-
-    def __init__(self, vector: np.ndarray):
-        v = np.asarray(vector, dtype=np.float32)
-        if v.ndim != 1 or v.shape[0] != VISUAL_DIM:
-            raise PackError(f"visual token must be a {VISUAL_DIM}-vector, got shape {v.shape}")
-        self.vector = v
-
-    def __eq__(self, other):
-        return isinstance(other, VisualToken) and np.array_equal(self.vector, other.vector)
-
-    def __repr__(self):
-        return f"VisualToken(dim={self.vector.shape[0]})"
+# -- sequences ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -113,14 +96,31 @@ class Span:
     length: int  # number of visual tokens inside
 
 
-@dataclass
+@dataclass(eq=False)
 class MultimodalSequence:
-    """A flat element stream; `parse(seq).spans` locates its visual spans."""
+    """Token ids (int64 [n], VISUAL at each visual token) and the vectors of the
+    visual tokens (float32 [count of VISUAL ids, VISUAL_DIM]), in order;
+    `parse(seq).spans` locates its visual spans."""
 
-    elements: list = field(default_factory=list)
+    ids: np.ndarray = ()
+    vectors: np.ndarray = field(default_factory=lambda: np.zeros((0, VISUAL_DIM), np.float32))
+
+    def __post_init__(self):
+        ids = np.asarray(self.ids)
+        if ids.ndim != 1 or ids.size and (ids.dtype.kind not in "iu" or ids.min() < VISUAL or ids.max() >= VOCAB):
+            raise PackError(f"ids must be a 1-d integer array in [{VISUAL}, {VOCAB}), got {ids.dtype} {ids.shape}")
+        self.ids = ids.astype(np.int64, copy=False)
+        self.vectors = np.asarray(self.vectors, dtype=np.float32)
+        n_visual = int(np.count_nonzero(self.ids == VISUAL))
+        if self.vectors.shape != (n_visual, VISUAL_DIM):
+            raise PackError(f"{n_visual} visual ids need ({n_visual}, {VISUAL_DIM}) vectors, got {self.vectors.shape}")
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.ids)
+
+    def __eq__(self, other):
+        return (isinstance(other, MultimodalSequence) and np.array_equal(self.ids, other.ids)
+                and np.array_equal(self.vectors, other.vectors))
 
 
 def encode_text(text: str) -> list[int]:
@@ -145,40 +145,34 @@ def decode_text(ids: Iterable[int]) -> str:
 # -- packing --------------------------------------------------------------------
 
 
-def _check_block(kind: str, embeddings: np.ndarray, video_frames: int) -> np.ndarray:
-    emb = np.asarray(embeddings, dtype=np.float32)
-    if emb.ndim == 1:
-        emb = emb[None, :]
-    if emb.ndim != 2 or emb.shape[1] != VISUAL_DIM:
-        raise PackError(f"{kind} block must be [n, {VISUAL_DIM}], got shape {emb.shape}")
-    expected = IMAGE_SPAN_TOKENS if kind == "image" else video_frames
-    if emb.shape[0] != expected:
-        raise PackError(f"{kind} block has {emb.shape[0]} tokens, expected {expected}")
-    return emb
-
-
-def pack_parts(parts: list, *, video_frames: int = 8) -> MultimodalSequence:
+def pack_parts(parts: list) -> MultimodalSequence:
     """Build a sequence from interleaved parts.
 
     Each part is ("text", list-of-ids) or (kind, embeddings) with kind in
     {"image", "video"}. Blocks are wrapped in their opener/closer tokens.
     """
-    elements: list = []
+    ids: list[int] = []
+    blocks = [np.zeros((0, VISUAL_DIM), np.float32)]
     for tag, payload in parts:
         if tag == "text":
             for i in payload:
                 if not 0 <= int(i) < VOCAB or int(i) in _OPENERS or int(i) in _CLOSERS:
                     raise PackError(f"id {i} is not packable as plain text")
-                elements.append(TextToken(int(i)))
-        elif tag in ("image", "video"):
-            emb = _check_block(tag, payload, video_frames)
+                ids.append(int(i))
+        elif tag in _SPAN_LENGTHS:
+            emb = np.asarray(payload, dtype=np.float32)
+            if emb.ndim == 1:
+                emb = emb[None, :]
+            if emb.ndim != 2 or emb.shape[1] != VISUAL_DIM:
+                raise PackError(f"{tag} block must be [n, {VISUAL_DIM}], got shape {emb.shape}")
+            if emb.shape[0] not in _SPAN_LENGTHS[tag]:
+                raise PackError(f"{tag} block has {emb.shape[0]} tokens, expected one of {_SPAN_LENGTHS[tag]}")
             opener, closer = (BOI, EOI) if tag == "image" else (BOV, EOV)
-            elements.append(TextToken(opener))
-            elements.extend(VisualToken(row) for row in emb)
-            elements.append(TextToken(closer))
+            ids += [opener, *[VISUAL] * len(emb), closer]
+            blocks.append(emb)
         else:
             raise PackError(f"unknown part tag {tag!r}")
-    return MultimodalSequence(elements=elements)
+    return MultimodalSequence(ids, np.concatenate(blocks))
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -191,11 +185,9 @@ class ParsedSequence:
     spans: list
 
 
-def parse(seq: MultimodalSequence | list, *,
-          allowed_video_lengths: tuple[int, ...] = DEFAULT_VIDEO_FRAMES) -> ParsedSequence:
+def parse(seq: MultimodalSequence) -> ParsedSequence:
     """Validate and invert `pack_parts`. Raises a ParseError subclass at the first
     violation for malformed input."""
-    elements = seq.elements if isinstance(seq, MultimodalSequence) else list(seq)
     text_segments: list = []
     blocks: list = []
     spans: list = []
@@ -203,7 +195,7 @@ def parse(seq: MultimodalSequence | list, *,
     run_start = 0
     open_kind: str | None = None
     open_pos = 0
-    span_vectors: list = []
+    n_visual = 0  # visual tokens so far: the row of the next one in seq.vectors
 
     def flush_run():
         nonlocal run
@@ -211,44 +203,35 @@ def parse(seq: MultimodalSequence | list, *,
             text_segments.append((run_start, run))
             run = []
 
-    for pos, el in enumerate(elements):
-        if isinstance(el, TextToken):
-            tid = el.id
-            if tid in _OPENERS:
-                if open_kind is not None:
-                    raise NestedSpanError(pos, f"opener inside an open {open_kind} span")
-                flush_run()
-                open_kind = _OPENERS[tid]
-                open_pos = pos
-                span_vectors = []
-            elif tid in _CLOSERS:
-                if open_kind is None:
-                    raise UnmatchedCloserError(pos, "closer without a matching opener")
-                if _CLOSERS[tid] != open_kind:
-                    raise MismatchedCloserError(pos, f"{open_kind} span closed by {_CLOSERS[tid]} closer")
-                n = len(span_vectors)
-                if open_kind == "image":
-                    if n != IMAGE_SPAN_TOKENS:
-                        raise SpanLengthError(pos, f"image span has {n} tokens, expected {IMAGE_SPAN_TOKENS}")
-                else:
-                    if n not in allowed_video_lengths:
-                        raise SpanLengthError(pos, f"video span has {n} tokens, expected one of {allowed_video_lengths}")
-                blocks.append((open_kind, np.stack(span_vectors)))
-                spans.append(Span(open_kind, open_pos, n))
-                open_kind = None
-                run_start = pos + 1
-            else:
-                if open_kind is not None:
-                    raise SpanContentError(pos, f"text token inside a {open_kind} span")
-                if not run:
-                    run_start = pos
-                run.append(tid)
-        elif isinstance(el, VisualToken):
+    for pos, tid in enumerate(seq.ids.tolist()):
+        if tid == VISUAL:
             if open_kind is None:
                 raise StrayVisualTokenError(pos, "visual token outside any span")
-            span_vectors.append(el.vector)
+            n_visual += 1
+        elif tid in _OPENERS:
+            if open_kind is not None:
+                raise NestedSpanError(pos, f"opener inside an open {open_kind} span")
+            flush_run()
+            open_kind = _OPENERS[tid]
+            open_pos = pos
+        elif tid in _CLOSERS:
+            if open_kind is None:
+                raise UnmatchedCloserError(pos, "closer without a matching opener")
+            if _CLOSERS[tid] != open_kind:
+                raise MismatchedCloserError(pos, f"{open_kind} span closed by {_CLOSERS[tid]} closer")
+            n = pos - open_pos - 1  # a span holds only visual tokens
+            if n not in _SPAN_LENGTHS[open_kind]:
+                raise SpanLengthError(pos, f"{open_kind} span has {n} tokens, expected one of {_SPAN_LENGTHS[open_kind]}")
+            blocks.append((open_kind, seq.vectors[n_visual - n:n_visual]))
+            spans.append(Span(open_kind, open_pos, n))
+            open_kind = None
+            run_start = pos + 1
         else:
-            raise ParseError(pos, f"unknown element type {type(el).__name__}")
+            if open_kind is not None:
+                raise SpanContentError(pos, f"text token inside a {open_kind} span")
+            if not run:
+                run_start = pos
+            run.append(tid)
     if open_kind is not None:
         raise UnmatchedOpenerError(open_pos, f"{open_kind} span never closed")
     flush_run()
@@ -257,12 +240,13 @@ def parse(seq: MultimodalSequence | list, *,
 
 # -- wire format -------------------------------------------------------------------
 #
-# A `codec` envelope (magic b"MMSQ", version 2, CRC32 trailer) around:
+# A `codec` envelope (magic b"MMSQ", version 2, CRC32 trailer) around the two
+# columns:
 #   dim     u16     visual vector width
-#   count   u32     element count
-#   tags    count * u8 (0 = text, 1 = visual), in element order
-#   ids     u32 per text element, in order
-#   vectors dim * float32 per visual element, in order
+#   count   u32     token count
+#   tags    count * u8 (1 where the id is VISUAL, else 0), in token order
+#   ids     u32 per text token (tag 0), in order
+#   vectors dim * float32 per visual token (tag 1), in order
 #
 # The header (magic, version, dim, count) is HEADER_SIZE bytes and the first
 # tag sits right after it. An empty sequence is the header plus the 4-byte
@@ -275,13 +259,12 @@ _DIM_COUNT = struct.Struct("<HI")
 
 
 def serialize(seq: MultimodalSequence) -> bytes:
-    els = seq.elements
-    visual = [isinstance(el, VisualToken) for el in els]
+    visual = seq.ids == VISUAL
     w = Writer(MAGIC, FORMAT_VERSION)
-    w.pack(_DIM_COUNT, VISUAL_DIM, len(els))
+    w.pack(_DIM_COUNT, VISUAL_DIM, len(seq.ids))
     w.array(visual, "u1")
-    w.array([el.id for el, v in zip(els, visual) if not v], "<u4")
-    w.array([el.vector for el, v in zip(els, visual) if v], "<f4")
+    w.array(seq.ids[~visual], "<u4")
+    w.array(seq.vectors, "<f4")
     return w.finish()
 
 
@@ -290,11 +273,10 @@ def deserialize(data: bytes) -> MultimodalSequence:
     dim, count = r.unpack(_DIM_COUNT)
     if dim != VISUAL_DIM:
         raise DecodeError(6, f"visual dim {dim} does not match configured {VISUAL_DIM}")
-    tags = r.indices("u1", count, 2, "element tag")
-    n_visual = int(np.count_nonzero(tags))
-    ids = r.indices("<u4", count - n_visual, VOCAB, "token id")
+    visual = r.indices("u1", count, 2, "token tag").astype(bool)
+    n_visual = int(np.count_nonzero(visual))
+    ids = np.full(count, VISUAL, dtype=np.int64)
+    ids[~visual] = r.indices("<u4", count - n_visual, VOCAB, "token id")
     vectors = r.array("<f4", n_visual * dim).astype(np.float32).reshape(n_visual, dim)
     r.finish()
-    text = map(TextToken, ids.tolist())
-    visual = map(VisualToken, vectors)
-    return MultimodalSequence(elements=[next(visual) if t else next(text) for t in tags.tolist()])
+    return MultimodalSequence(ids, vectors)

@@ -46,7 +46,7 @@ def valid_shard() -> bytes:
 def valid_wire() -> bytes:
     rng = np.random.default_rng(6)
     seq = fuzztools.random_valid_sequence(rng)
-    while len(seq) < 12 or not any(isinstance(el, sq.VisualToken) for el in seq.elements):
+    while len(seq) < 12 or not len(seq.vectors):
         seq = fuzztools.random_valid_sequence(rng)
     return sq.serialize(seq)
 

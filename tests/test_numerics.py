@@ -49,6 +49,8 @@ def test_shape_errors_name_the_primitive():
         nx.mse(nx.Tensor(np.zeros(3)), nx.Tensor(np.zeros(4)))
     with pytest.raises(nx.ShapeError, match="take"):
         nx.take(nx.Tensor(np.zeros((5, 2))), np.array([5]))
+    with pytest.raises(nx.ShapeError, match="take"):
+        nx.take(nx.Tensor(np.zeros((), dtype=np.float32)), np.array([0]))
     t = nx.Tensor(np.zeros((3, 4), dtype=np.float32))
     with pytest.raises(nx.ShapeError, match="slice"):
         t[5]
@@ -60,6 +62,18 @@ def test_shape_errors_name_the_primitive():
         nx.add_rows(t, np.array([0]), nx.Tensor(np.zeros((1, 5), dtype=np.float32)))
     with pytest.raises(nx.ShapeError, match="window"):
         nx.window(t, (0,), 2, 0, 0, 0)
+    with pytest.raises(nx.ShapeError, match="swap_axes"):
+        nx.swap_axes(t, 2, 0)
+
+
+def test_an_int_on_every_axis_slices_a_0d_array():
+    p = nx.Parameter(np.arange(12, dtype=np.float32).reshape(3, 4))
+    out = p[1, 2]
+    assert type(out.numpy()) is np.ndarray and out.shape == () and out.item() == 6.0
+    out.backward()
+    expected = np.zeros((3, 4), dtype=np.float32)
+    expected[1, 2] = 1.0
+    assert np.array_equal(p.grad, expected)
 
 
 INDEX = st.integers(-6, 6) | st.builds(slice, st.none() | st.integers(-6, 6), st.none() | st.integers(-6, 6),
@@ -70,7 +84,7 @@ AXIS = st.none() | st.integers(-4, 4) | st.lists(st.integers(-4, 4), max_size=2)
 @st.composite
 def shape_op_calls(draw):
     """(op name, function of a [*shape] parameter) with drawn arguments, valid or not."""
-    op = draw(st.sampled_from(["slice", "sum", "mean", "add_rows", "window"]))
+    op = draw(st.sampled_from(["slice", "sum", "mean", "add_rows", "window", "swap_axes", "take"]))
     if op == "slice":
         key = draw(INDEX | st.lists(INDEX, max_size=4).map(tuple))
         return op, lambda p: p[key]
@@ -84,6 +98,12 @@ def shape_op_calls(draw):
         lead = draw(st.sampled_from([len(idx), len(idx) + 1]))
         tail = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))
         return op, lambda p: nx.add_rows(p, idx, nx.Parameter(np.ones((lead, *(tail or p.shape[1:])), dtype)))
+    if op == "swap_axes":
+        ax1, ax2 = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+        return op, lambda p: nx.swap_axes(p, ax1, ax2)
+    if op == "take":
+        idx = np.array(draw(st.lists(st.integers(-2, 6), max_size=4)), dtype=draw(st.sampled_from([np.int64, np.float32])))
+        return op, lambda p: nx.take(p, idx)
     axes = tuple(draw(st.lists(st.integers(-1, 3), max_size=2)))
     size, stride, before, after = (draw(st.integers(-1, 4)) for _ in range(4))
     return op, lambda p: nx.window(p, axes, size, stride, before, after)

@@ -1,5 +1,7 @@
 """Packing, parsing, and the binary wire format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ def test_vocabulary_layout():
 def test_pack_text_plus_video_length():
     rng = np.random.default_rng(0)
     emb = rng.standard_normal((8, sq.VISUAL_DIM)).astype(np.float32)
-    seq = sq.pack_parts([("text", sq.encode_text("cat")), ("video", emb)], video_frames=8)
+    seq = sq.pack_parts([("text", sq.encode_text("cat")), ("video", emb)])
     assert len(seq) == 3 + 1 + 8 + 1
     assert sq.parse(seq).spans == [sq.Span("video", 3, 8)]
 
@@ -35,7 +37,7 @@ def test_pack_wrong_frame_count_errors():
     rng = np.random.default_rng(0)
     emb = rng.standard_normal((7, sq.VISUAL_DIM)).astype(np.float32)
     with pytest.raises(sq.PackError):
-        sq.pack_parts([("video", emb)], video_frames=8)
+        sq.pack_parts([("video", emb)])
 
 
 def test_pack_wrong_dim_errors():
@@ -55,7 +57,7 @@ def valid_sequences(draw):
         else:
             frames = 1 if tag == "image" else draw(st.sampled_from([8, 12]))
             parts.append((tag, rng.standard_normal((frames, sq.VISUAL_DIM)).astype(np.float32)))
-    return fuzztools.sequence_of(parts)
+    return sq.pack_parts(parts)
 
 
 @settings(max_examples=200, deadline=None)
@@ -70,8 +72,7 @@ def test_parse_empty():
 
 
 def test_unmatched_opener_reports_its_index():
-    seq = sq.pack_parts([("text", sq.encode_text("ab"))])
-    seq.elements.append(sq.TextToken(sq.BOV))
+    seq = sq.MultimodalSequence(sq.encode_text("ab") + [sq.BOV])
     with pytest.raises(sq.UnmatchedOpenerError) as exc:
         sq.parse(seq)
     assert exc.value.position == 2
@@ -85,41 +86,116 @@ def test_malformed_mutations_rejected():
         mut = fuzztools.mutate_sequence(seq, rng)
         if mut is None:
             continue
-        elements, expected = mut
+        corrupted, expected = mut
         tried += 1
         with pytest.raises(expected) as exc:
-            sq.parse(elements)
+            sq.parse(corrupted)
         assert isinstance(exc.value, sq.ParseError)
-        assert 0 <= exc.value.position <= len(elements)
+        assert 0 <= exc.value.position <= len(corrupted)
     assert tried > 500
 
 
+def sequence_of_ids(ids: list) -> sq.MultimodalSequence:
+    """`ids` with one distinct vector per VISUAL id: row k holds k * VISUAL_DIM onwards."""
+    n = ids.count(sq.VISUAL)
+    return sq.MultimodalSequence(ids, np.arange(n * sq.VISUAL_DIM, dtype=np.float32).reshape(n, sq.VISUAL_DIM))
+
+
 def test_distinct_error_kinds():
-    vec = np.zeros(sq.VISUAL_DIM, dtype=np.float32)
     cases = [
-        ([sq.TextToken(sq.BOV)], sq.UnmatchedOpenerError),
-        ([sq.TextToken(sq.EOI)], sq.UnmatchedCloserError),
-        ([sq.TextToken(sq.BOV), sq.VisualToken(vec), sq.TextToken(sq.EOI)], sq.MismatchedCloserError),
-        ([sq.TextToken(sq.BOV), sq.TextToken(sq.BOI)], sq.NestedSpanError),
-        ([sq.VisualToken(vec)], sq.StrayVisualTokenError),
-        ([sq.TextToken(sq.BOI), sq.VisualToken(vec), sq.VisualToken(vec), sq.TextToken(sq.EOI)], sq.SpanLengthError),
-        ([sq.TextToken(sq.BOV), sq.TextToken(65)], sq.SpanContentError),
+        ([sq.BOV], sq.UnmatchedOpenerError),
+        ([sq.EOI], sq.UnmatchedCloserError),
+        ([sq.BOV, sq.VISUAL, sq.EOI], sq.MismatchedCloserError),
+        ([sq.BOV, sq.BOI], sq.NestedSpanError),
+        ([sq.VISUAL], sq.StrayVisualTokenError),
+        ([sq.BOI, sq.VISUAL, sq.VISUAL, sq.EOI], sq.SpanLengthError),
+        ([sq.BOV, 65], sq.SpanContentError),
     ]
-    for elements, expected in cases:
+    for ids, expected in cases:
         with pytest.raises(expected):
-            sq.parse(elements)
+            sq.parse(sequence_of_ids(ids))
 
 
 def test_video_span_length_validation():
     rng = np.random.default_rng(5)
     emb12 = rng.standard_normal((12, sq.VISUAL_DIM)).astype(np.float32)
-    seq = sq.pack_parts([("video", emb12)], video_frames=12)
-    sq.parse(seq)  # 12 allowed by default
+    seq = sq.pack_parts([("video", emb12)])
+    assert sq.parse(seq).spans == [sq.Span("video", 0, 12)]  # 12 is one of VIDEO_FRAMES
     with pytest.raises(sq.SpanLengthError):
-        sq.parse(seq, allowed_video_lengths=(8,))
+        sq.parse(sequence_of_ids([sq.BOV, *[sq.VISUAL] * 7, sq.EOV]))
+
+
+TOKENS = [sq.VISUAL, sq.BOI, sq.EOI, sq.BOV, sq.EOV, 65, sq.TASK_GENERATE]
+# id streams over TOKENS, drawn a chunk at a time: a text id, a well-formed
+# span, any single id or a run of VISUAL ids, so that streams that parse turn up
+# among the errors
+CHUNKS = (st.sampled_from([[65], [sq.TASK_GENERATE]])
+          | st.sampled_from([[sq.BOI, sq.VISUAL, sq.EOI], [sq.BOV, *[sq.VISUAL] * 8, sq.EOV],
+                             [sq.BOV, *[sq.VISUAL] * 12, sq.EOV]])
+          | st.sampled_from(TOKENS).map(lambda i: [i])
+          | st.integers(1, 13).map(lambda n: [sq.VISUAL] * n))
+ID_STREAMS = st.lists(CHUNKS, max_size=10).map(lambda chunks: [i for chunk in chunks for i in chunk])
+
+
+@settings(max_examples=500, deadline=None)
+@given(ID_STREAMS)
+def test_arbitrary_id_streams_parse_and_round_trip_or_raise_parse_error(ids):
+    seq = sequence_of_ids(ids)
+    try:
+        parsed = sq.parse(seq)
+    except sq.ParseError as err:
+        assert 0 <= err.position <= len(ids)
+        return
+    assert fuzztools.reassemble(parsed, seq)
+    back = sq.deserialize(sq.serialize(seq))
+    assert back == seq and fuzztools.reassemble(sq.parse(back), seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS) | st.integers(-2**40, 2**40), max_size=16),
+       st.integers(-2, 2), st.sampled_from([sq.VISUAL_DIM, sq.VISUAL_DIM - 1]), st.booleans())
+def test_columns_that_disagree_raise_pack_error(ids, extra_rows, dim, as_column):
+    # out-of-range ids, a vector count other than the VISUAL count, a vector
+    # width other than VISUAL_DIM and 2-d ids each raise PackError; nothing else escapes
+    rows = max(ids.count(sq.VISUAL) + extra_rows, 0)
+    id_input = np.array(ids, dtype=np.int64).reshape(-1, 1) if as_column else ids
+    vectors = np.zeros((rows, dim), np.float32)
+    if (all(sq.VISUAL <= i < sq.VOCAB for i in ids) and rows == ids.count(sq.VISUAL)
+            and dim == sq.VISUAL_DIM and not as_column):
+        assert len(sq.MultimodalSequence(id_input, vectors)) == len(ids)
+    else:
+        with pytest.raises(sq.PackError):
+            sq.MultimodalSequence(id_input, vectors)
 
 
 # -- wire format ----------------------------------------------------------------
+
+
+def pin_block(frames: int, shift: int) -> np.ndarray:
+    """Exact float32 vectors that depend on no random generator."""
+    return np.arange(frames * sq.VISUAL_DIM, dtype=np.float32).reshape(frames, sq.VISUAL_DIM) / 64 - shift
+
+
+# SHA-256 of the MMSQ v2 bytes of fixed sequences. The round-trip tests would
+# pass if the byte layout moved; these digests would not.
+WIRE_PINS = {
+    "empty": ([], "c640120b1a3b0473ff0f7a304917dfcec2bdaa69e1716c935b8889cb05732bfb"),
+    "text": ([("text", sq.encode_text("a red circle moves left"))],
+             "ee724620d9779f61782226909e5e57940b1cb9b662072f6f7a319cb2efa32946"),
+    "image": ([("image", pin_block(1, 0))], "9ed8c4e8ef5cac4dcd455c46c1dae38eff5a606edd4d62ab4fb7c8dbd40a6d19"),
+    "video8": ([("video", pin_block(8, 1))], "15255362d0288a0077a08503eb844c3b88f1f05564a5c6e5e0cbcbb36e4ab8bb"),
+    "video12": ([("video", pin_block(12, 2))], "f228ac712afab69668f14f4bbe01cecdcc7ce14e7e2cf483f2a3595002b89c8d"),
+    "mix": ([("text", [sq.TASK_GENERATE, *sq.encode_text("two squares")]), ("image", pin_block(1, 3)),
+             ("text", sq.encode_text("then")), ("video", pin_block(8, 4)), ("video", pin_block(12, 5)),
+             ("text", sq.encode_text("end"))],
+            "d2faaffa43b8dd0d3bdb3852fd0bf2951ed2a056348f7f8f9cd11a5a70308694"),
+}
+
+
+def test_wire_bytes_match_pinned_digests():
+    found = {name: hashlib.sha256(sq.serialize(sq.pack_parts(parts))).hexdigest()
+             for name, (parts, _) in WIRE_PINS.items()}
+    assert found == {name: digest for name, (_, digest) in WIRE_PINS.items()}
 
 
 @settings(max_examples=200, deadline=None)
@@ -137,7 +213,7 @@ def test_empty_sequence_serializes_to_documented_header():
 def test_corrupted_tag_byte_reports_offset():
     seq = sq.pack_parts([("text", sq.encode_text("xy"))])
     data = bytearray(sq.serialize(seq))
-    data[sq.HEADER_SIZE] = 7  # first element tag
+    data[sq.HEADER_SIZE] = 7  # first token tag
     with pytest.raises(sq.DecodeError) as exc:
         sq.deserialize(bytes(data))
     assert exc.value.offset == sq.HEADER_SIZE
