@@ -100,7 +100,7 @@ def linear_probe_shape_accuracy(encoder: pc.FrameEncoder, *, n_train: int = 400,
         feats = []
         for s in specs:
             t = int(rng.integers(0, 8))
-            frame = sd.render(s, t + 1)[t]
+            frame = sd.render_frame(s, t)
             with nx.no_grad():
                 feats.append(encoder.embed_frames(frame[None]).numpy()[0])
         y = np.array([sd.SHAPES.index(s.shape) for s in specs])

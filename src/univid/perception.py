@@ -142,7 +142,7 @@ def _contrastive_batch(rng: np.random.Generator, batch: int):
     frames_out = []
     for s in specs:
         t = int(rng.integers(0, 8))
-        frames_out.append(sd.render(s, t + 1)[t])
+        frames_out.append(sd.render_frame(s, t))
     return frames_out
 
 
@@ -287,12 +287,14 @@ def _vae_batch(rng: np.random.Generator, batch: int, frames: int) -> np.ndarray:
 
 
 def _edge_weights(videos: np.ndarray) -> np.ndarray:
-    """Weight 4 on pixels near spatial edges, 1 elsewhere; flat regions train in a few steps."""
+    """Float32 [..., 1, H, W] for videos [..., C, H, W]: weight 4 on pixels near
+    spatial edges in any channel, 1 elsewhere; flat regions train in a few steps."""
     g = np.zeros(videos.shape, np.float32)
-    g[..., 1:, :] += np.abs(videos[..., 1:, :] - videos[..., :-1, :])
-    g[..., :, 1:] += np.abs(videos[..., :, 1:] - videos[..., :, :-1])
-    w = 1.0 + 3.0 * (g.max(axis=-3, keepdims=True) > 0.02)
-    return np.broadcast_to(w, videos.shape).astype(np.float32)
+    dy = np.subtract(videos[..., 1:, :], videos[..., :-1, :], out=g[..., 1:, :])
+    np.abs(dy, out=dy)
+    dx = np.subtract(videos[..., :, 1:], videos[..., :, :-1])
+    g[..., :, 1:] += np.abs(dx, out=dx)
+    return np.where(g.max(axis=-3, keepdims=True) > 0.02, np.float32(4.0), np.float32(1.0))
 
 
 def pretrain_vae(*, steps: int = 4000, batch: int = 8, seed: int = 21,

@@ -65,14 +65,9 @@ class SceneSpec:
 
 
 def random_spec(rng: np.random.Generator) -> SceneSpec:
-    return SceneSpec(
-        shape=str(rng.choice(SHAPES)),
-        color=str(rng.choice(COLOR_NAMES)),
-        motion=str(rng.choice(MOTION_NAMES)),
-        background=str(rng.choice(BACKGROUND_NAMES)),
-        size=str(rng.choice(SIZE_NAMES)),
-        seed=int(rng.integers(0, 2**31)),
-    )
+    # one draw per attribute in field order, then the seed
+    tables = (SHAPES, COLOR_NAMES, MOTION_NAMES, BACKGROUND_NAMES, SIZE_NAMES)
+    return SceneSpec(*[names[rng.integers(len(names))] for names in tables], seed=int(rng.integers(0, 2**31)))
 
 
 # -- rendering ------------------------------------------------------------------
@@ -83,9 +78,8 @@ def _center(spec: SceneSpec, frame: int) -> tuple[int, int]:
     function of (motion, seed), plus frame * velocity, clamped so the shape
     stays on the canvas."""
     vx, vy = MOTIONS[spec.motion]
-    jr = np.random.default_rng(spec.seed)
-    jx = int(jr.choice(_JITTER))
-    jy = int(jr.choice(_JITTER))
+    # the same two values as two `choice(_JITTER)` draws, at a third of the cost
+    jx, jy = (_JITTER[i] for i in np.random.default_rng(spec.seed).integers(len(_JITTER), size=2))
     lo, hi = SIZES[spec.size], CANVAS - 1 - SIZES[spec.size]
     cx = CANVAS // 2 - 6 * vx + jx + vx * frame
     cy = CANVAS // 2 - 6 * vy + jy + vy * frame
@@ -93,29 +87,40 @@ def _center(spec: SceneSpec, frame: int) -> tuple[int, int]:
 
 
 _SUBSAMPLE = 4
-# subpixel sample positions along one canvas axis, in pixel units
-_SUBPIXELS = (np.arange(CANVAS * _SUBSAMPLE) + 0.5) / _SUBSAMPLE - 0.5
+
+
+def _stamp(shape: str, r: int) -> np.ndarray:
+    """Float32 [2r+1, 2r+1] coverage of `shape` at radius `r` about the middle pixel."""
+    # subpixel sample positions along one axis, in pixels from the centre
+    f = (np.arange((2 * r + 1) * _SUBSAMPLE) + 0.5) / _SUBSAMPLE - 0.5 - r
+    fx, fy = f[None, :], f[:, None]
+    if shape == "circle":
+        m = fx * fx + fy * fy <= r * r
+    elif shape == "square":
+        m = (np.abs(fx) <= r) & (np.abs(fy) <= r)
+    else:
+        # upward triangle: apex r above the centre, base r below it
+        m = (np.abs(fy) <= r) & (np.abs(fx) <= (fy + r) / 2.0)
+    return m.reshape(2 * r + 1, _SUBSAMPLE, 2 * r + 1, _SUBSAMPLE).mean(axis=(1, 3)).astype(np.float32)
+
+
+_STAMPS = {(shape, size): _stamp(shape, r) for shape in SHAPES for size, r in SIZES.items()}
 
 
 def coverage(spec: SceneSpec, frame: int) -> np.ndarray:
     """Float [CANVAS, CANVAS] per-pixel shape coverage in [0, 1].
 
     Rasterization is anti-aliased by 4x4 subpixel sampling; edges are one-pixel
-    ramps, deterministic per (spec, frame)."""
-    if not spec.has_object:
-        return np.zeros((CANVAS, CANVAS), dtype=np.float32)
-    r = SIZES[spec.size]
-    cx, cy = _center(spec, frame)
-    fx = (_SUBPIXELS - cx)[None, :]
-    fy = (_SUBPIXELS - cy)[:, None]
-    if spec.shape == "circle":
-        m = fx * fx + fy * fy <= r * r
-    elif spec.shape == "square":
-        m = (np.abs(fx) <= r) & (np.abs(fy) <= r)
-    else:
-        # upward triangle: apex at cy - r, base at cy + r
-        m = (np.abs(fy) <= r) & (np.abs(fx) <= (fy + r) / 2.0)
-    return m.reshape(CANVAS, _SUBSAMPLE, CANVAS, _SUBSAMPLE).mean(axis=(1, 3)).astype(np.float32)
+    ramps, deterministic per (spec, frame). Centres are integer pixels clamped
+    into [r, CANVAS-1-r], so this is the (shape, size) stamp pasted whole at an
+    integer offset, bitwise what a full-canvas subpixel grid gives: the offsets
+    from the centre are the same exact dyadic values either way."""
+    out = np.zeros((CANVAS, CANVAS), dtype=np.float32)
+    if spec.has_object:
+        r = SIZES[spec.size]
+        cx, cy = _center(spec, frame)
+        out[cy - r:cy + r + 1, cx - r:cx + r + 1] = _STAMPS[spec.shape, spec.size]
+    return out
 
 
 def _coverages(spec: SceneSpec, frames: int) -> np.ndarray:
@@ -131,13 +136,23 @@ def _paint(spec: SceneSpec, cov: np.ndarray) -> np.ndarray:
     video = np.full((len(cov), 3, CANVAS, CANVAS), BACKGROUNDS[spec.background], dtype=np.float32)
     if not spec.has_object:
         return video
-    cov = cov[:, None]
-    return video * (1.0 - cov) + np.array(COLORS[spec.color], dtype=np.float32).reshape(3, 1, 1) * cov
+    # blend inside the bounding box of all frames' coverage; outside it the
+    # blend bg * (1 - 0) + color * 0 is exactly bg
+    rows, cols = np.nonzero(cov.any(axis=0))
+    box = np.s_[..., rows.min():rows.max() + 1, cols.min():cols.max() + 1]
+    c = cov[:, None][box]
+    video[box] = video[box] * (1.0 - c) + np.array(COLORS[spec.color], dtype=np.float32).reshape(3, 1, 1) * c
+    return video
 
 
 def render(spec: SceneSpec, frames: int) -> np.ndarray:
     """Rasterize to float32 [frames, 3, CANVAS, CANVAS] in [0, 1]."""
     return _paint(spec, _coverages(spec, frames))
+
+
+def render_frame(spec: SceneSpec, frame: int) -> np.ndarray:
+    """Float32 [3, CANVAS, CANVAS]: frame `frame` of a render, drawn alone."""
+    return _paint(spec, coverage(spec, frame)[None])[0]
 
 
 # -- language -------------------------------------------------------------------

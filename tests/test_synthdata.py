@@ -72,6 +72,67 @@ def test_pixels_in_unit_range_with_exact_flat_regions():
     assert rim.any()
 
 
+# An independent oracle for the stamp table: a full-canvas rasterizer with 4x4
+# subpixel samples over the whole 128x128 grid, one image per centre.
+SUBPIXELS = (np.arange(sd.CANVAS * 4) + 0.5) / 4 - 0.5
+# BLOCKS @ m @ BLOCKS.T counts the samples in each pixel's 4x4 block, exactly
+BLOCKS = np.kron(np.eye(sd.CANVAS), np.ones(4))
+
+
+def oracle_coverage(shape: str, r: int, centres) -> np.ndarray:
+    """Float32 [len(centres), CANVAS, CANVAS] for (cx, cy) integer centres."""
+    cx, cy = np.array(centres).T
+    fx = SUBPIXELS[None, None, :] - cx[:, None, None]
+    fy = SUBPIXELS[None, :, None] - cy[:, None, None]
+    if shape == "circle":
+        m = fx * fx + fy * fy <= r * r
+    elif shape == "square":
+        m = (np.abs(fx) <= r) & (np.abs(fy) <= r)
+    else:
+        m = (np.abs(fy) <= r) & (np.abs(fx) <= (fy + r) / 2.0)
+    return (BLOCKS @ m @ BLOCKS.T / 16).astype(np.float32)
+
+
+def oracle_render(spec, frames):
+    """render(spec, frames), with the jitter drawn as two `choice` calls."""
+    video = np.full((frames, 3, sd.CANVAS, sd.CANVAS), sd.BACKGROUNDS[spec.background], dtype=np.float32)
+    if not spec.has_object:
+        return video
+    jr = np.random.default_rng(spec.seed)
+    jx, jy = int(jr.choice((-2, 0, 2))), int(jr.choice((-2, 0, 2)))
+    (vx, vy), r = sd.MOTIONS[spec.motion], sd.SIZES[spec.size]
+    centres = [(min(max(16 - 6 * vx + jx + vx * t, r), 31 - r), min(max(16 - 6 * vy + jy + vy * t, r), 31 - r))
+               for t in range(frames)]
+    cov = oracle_coverage(spec.shape, r, centres)[:, None]
+    return video * (1.0 - cov) + np.array(sd.COLORS[spec.color], dtype=np.float32).reshape(3, 1, 1) * cov
+
+
+def test_coverage_matches_oracle_at_every_centre(monkeypatch):
+    # the frame argument carries the centre straight through
+    monkeypatch.setattr(sd, "_center", lambda spec, frame: frame)
+    for shape in sd.SHAPES:
+        for size, r in sd.SIZES.items():
+            spec = spec_of(shape=shape, size=size)
+            for cy in range(r, sd.CANVAS - r):
+                centres = [(cx, cy) for cx in range(r, sd.CANVAS - r)]
+                want = oracle_coverage(shape, r, centres)
+                got = np.stack([sd.coverage(spec, c) for c in centres])
+                assert got.dtype == want.dtype and np.array_equal(got, want), (shape, size, cy)
+
+
+def test_render_matches_oracle():
+    rng = np.random.default_rng(12)
+    for i in range(100):
+        spec = sd.random_spec(rng)
+        if i % 3 == 0:
+            spec = spec.without_object()
+        frames = int(rng.integers(1, 30))
+        got, want = sd.render(spec, frames), oracle_render(spec, frames)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (spec, frames)
+        t = int(rng.integers(frames))
+        assert np.array_equal(sd.render_frame(spec, t), want[t])
+
+
 def test_caption_contains_all_attribute_words():
     spec = spec_of(size="small", color="blue", shape="triangle", background="white", motion="up")
     det = sd.caption(spec, "detailed")
