@@ -11,15 +11,18 @@ initialization is a constructor argument.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import numerics as nx
+from . import sequence as sq
 from . import synthdata as sd
 from .numerics import Tensor
 
 FRAME_SIZE = 32
 EMBED_DIM = 64
-VALID_FRAME_COUNTS = (1, 8, 12)
+VALID_FRAME_COUNTS = (sq.IMAGE_SPAN_TOKENS, *sq.VIDEO_FRAMES)
 
 # frame encoder: 8x8-pixel patches through two 4-head transformer blocks
 ENCODER_PATCH = 8
@@ -127,18 +130,13 @@ def _contrastive_batch(rng: np.random.Generator, batch: int):
     than the dominant color shortcut."""
     specs = []
     while len(specs) < batch:
-        color = str(rng.choice(sd.COLOR_NAMES))
-        background = str(rng.choice(sd.BACKGROUND_NAMES))
+        color = sd.COLOR_NAMES[rng.integers(len(sd.COLOR_NAMES))]
+        background = sd.BACKGROUND_NAMES[rng.integers(len(sd.BACKGROUND_NAMES))]
         base = sd.random_spec(rng)
         shape_only = rng.random() < 0.5
         for _ in range(min(4, batch - len(specs))):
             s = sd.random_spec(rng)
-            if shape_only:
-                specs.append(type(s)(shape=s.shape, color=color, motion=base.motion,
-                                     background=background, size=base.size, seed=base.seed))
-            else:
-                specs.append(type(s)(shape=s.shape, color=color, motion=s.motion,
-                                     background=background, size=s.size, seed=s.seed))
+            specs.append(replace(base if shape_only else s, shape=s.shape, color=color, background=background))
     frames_out = []
     for s in specs:
         t = int(rng.integers(0, 8))

@@ -89,18 +89,11 @@ class SpanContentError(ParseError):
 # -- sequences ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Span:
-    kind: str  # "image" | "video"
-    start: int  # index of the opener token
-    length: int  # number of visual tokens inside
-
-
 @dataclass(eq=False)
 class MultimodalSequence:
     """Token ids (int64 [n], VISUAL at each visual token) and the vectors of the
     visual tokens (float32 [count of VISUAL ids, VISUAL_DIM]), in order;
-    `parse(seq).spans` locates its visual spans."""
+    `parse(seq)` splits it into text runs and visual blocks."""
 
     ids: np.ndarray = ()
     vectors: np.ndarray = field(default_factory=lambda: np.zeros((0, VISUAL_DIM), np.float32))
@@ -181,8 +174,7 @@ def pack_parts(parts: list) -> MultimodalSequence:
 @dataclass
 class ParsedSequence:
     text_segments: list  # list of (position, list-of-ids) for maximal text runs
-    blocks: list  # list of (kind, np.ndarray [n, VISUAL_DIM]) in order
-    spans: list
+    blocks: list  # list of (kind, np.ndarray [n, VISUAL_DIM]) in span order
 
 
 def parse(seq: MultimodalSequence) -> ParsedSequence:
@@ -190,7 +182,6 @@ def parse(seq: MultimodalSequence) -> ParsedSequence:
     violation for malformed input."""
     text_segments: list = []
     blocks: list = []
-    spans: list = []
     run: list[int] = []
     run_start = 0
     open_kind: str | None = None
@@ -223,7 +214,6 @@ def parse(seq: MultimodalSequence) -> ParsedSequence:
             if n not in _SPAN_LENGTHS[open_kind]:
                 raise SpanLengthError(pos, f"{open_kind} span has {n} tokens, expected one of {_SPAN_LENGTHS[open_kind]}")
             blocks.append((open_kind, seq.vectors[n_visual - n:n_visual]))
-            spans.append(Span(open_kind, open_pos, n))
             open_kind = None
             run_start = pos + 1
         else:
@@ -235,7 +225,7 @@ def parse(seq: MultimodalSequence) -> ParsedSequence:
     if open_kind is not None:
         raise UnmatchedOpenerError(open_pos, f"{open_kind} span never closed")
     flush_run()
-    return ParsedSequence(text_segments=text_segments, blocks=blocks, spans=spans)
+    return ParsedSequence(text_segments=text_segments, blocks=blocks)
 
 
 # -- wire format -------------------------------------------------------------------

@@ -25,29 +25,27 @@ def random_valid_sequence(rng: np.random.Generator, **kw) -> sq.MultimodalSequen
 
 
 def reassemble(parsed: sq.ParsedSequence, original: sq.MultimodalSequence) -> bool:
-    """Rebuild the id and vector columns from parse output and compare them with
-    the original's."""
-    ids = {}
-    for pos, run in parsed.text_segments:
-        ids.update(enumerate(run, pos))
-    if len(parsed.blocks) != len(parsed.spans):
-        return False
-    for span, (kind, emb) in zip(parsed.spans, parsed.blocks):
-        if kind != span.kind or emb.shape[0] != span.length:
-            return False
+    """Rebuild the id and vector columns from parse output alone, each text run
+    at its position and the blocks in order between them, and compare them
+    with the original's."""
+    ids, runs = [], dict(parsed.text_segments)
+    for kind, emb in parsed.blocks:
+        ids += runs.pop(len(ids), [])
         opener, closer = (sq.BOI, sq.EOI) if kind == "image" else (sq.BOV, sq.EOV)
-        ids.update(enumerate([opener, *[sq.VISUAL] * span.length, closer], span.start))
-    if sorted(ids) != list(range(len(original))):
+        ids += [opener, *[sq.VISUAL] * len(emb), closer]
+    ids += runs.pop(len(ids), [])
+    if runs:  # a run whose position the rebuild never reached
         return False
     vectors = np.concatenate([np.zeros((0, sq.VISUAL_DIM), np.float32), *(emb for _, emb in parsed.blocks)])
-    return sq.MultimodalSequence([ids[i] for i in range(len(original))], vectors) == original
+    return sq.MultimodalSequence(ids, vectors) == original
 
 
 def mutate_sequence(seq: sq.MultimodalSequence, rng: np.random.Generator):
     """Apply one structural corruption; returns (sequence, expected_error) or None
     if the chosen mutation does not apply to this sequence."""
     ids, vectors = seq.ids, seq.vectors
-    spans = sq.parse(seq).spans
+    # the openers, one per parsed block and in the same order
+    starts = np.flatnonzero((ids == sq.BOI) | (ids == sq.BOV))
     kind = rng.choice(["drop_closer", "stray_visual", "nest_opener", "swap_closer",
                        "shrink_span", "orphan_closer", "text_in_span"])
     if kind == "stray_visual":
@@ -57,19 +55,20 @@ def mutate_sequence(seq: sq.MultimodalSequence, rng: np.random.Generator):
         return stray, sq.StrayVisualTokenError
     if kind == "orphan_closer":
         return sq.MultimodalSequence(np.insert(ids, 0, sq.EOV), vectors), sq.UnmatchedCloserError
-    if not spans:
+    if not len(starts):
         return None
-    s = spans[int(rng.integers(len(spans)))]
-    closer = s.start + s.length + 1
+    i = int(rng.integers(len(starts)))
+    start, (span_kind, emb) = int(starts[i]), sq.parse(seq).blocks[i]
+    closer = start + len(emb) + 1
     if kind == "drop_closer":
         return sq.MultimodalSequence(np.delete(ids, closer), vectors), sq.ParseError
     if kind == "nest_opener":
-        return sq.MultimodalSequence(np.insert(ids, s.start + 1, sq.BOV), vectors), sq.NestedSpanError
+        return sq.MultimodalSequence(np.insert(ids, start + 1, sq.BOV), vectors), sq.NestedSpanError
     if kind == "swap_closer":
         swapped = ids.copy()
-        swapped[closer] = sq.EOI if s.kind == "video" else sq.EOV
+        swapped[closer] = sq.EOI if span_kind == "video" else sq.EOV
         return sq.MultimodalSequence(swapped, vectors), sq.MismatchedCloserError
     if kind == "shrink_span":
-        row = np.count_nonzero(ids[:s.start] == sq.VISUAL)  # the span's first vector
-        return sq.MultimodalSequence(np.delete(ids, s.start + 1), np.delete(vectors, row, axis=0)), sq.SpanLengthError
-    return sq.MultimodalSequence(np.insert(ids, s.start + 1, 65), vectors), sq.SpanContentError  # text_in_span
+        row = np.count_nonzero(ids[:start] == sq.VISUAL)  # the span's first vector
+        return sq.MultimodalSequence(np.delete(ids, start + 1), np.delete(vectors, row, axis=0)), sq.SpanLengthError
+    return sq.MultimodalSequence(np.insert(ids, start + 1, 65), vectors), sq.SpanContentError  # text_in_span

@@ -24,13 +24,14 @@ def test_pack_text_plus_video_length():
     emb = rng.standard_normal((8, sq.VISUAL_DIM)).astype(np.float32)
     seq = sq.pack_parts([("text", sq.encode_text("cat")), ("video", emb)])
     assert len(seq) == 3 + 1 + 8 + 1
-    assert sq.parse(seq).spans == [sq.Span("video", 3, 8)]
+    assert np.flatnonzero(seq.ids == sq.BOV).tolist() == [3]
+    assert [(kind, len(emb)) for kind, emb in sq.parse(seq).blocks] == [("video", 8)]
 
 
 def test_pack_pure_text():
     seq = sq.pack_parts([("text", sq.encode_text("hello"))])
     assert len(seq) == 5
-    assert sq.parse(seq).spans == []
+    assert sq.parse(seq).blocks == []
 
 
 def test_pack_wrong_frame_count_errors():
@@ -120,7 +121,8 @@ def test_video_span_length_validation():
     rng = np.random.default_rng(5)
     emb12 = rng.standard_normal((12, sq.VISUAL_DIM)).astype(np.float32)
     seq = sq.pack_parts([("video", emb12)])
-    assert sq.parse(seq).spans == [sq.Span("video", 0, 12)]  # 12 is one of VIDEO_FRAMES
+    assert seq.ids[0] == sq.BOV
+    assert [(kind, len(emb)) for kind, emb in sq.parse(seq).blocks] == [("video", 12)]  # 12 is one of VIDEO_FRAMES
     with pytest.raises(sq.SpanLengthError):
         sq.parse(sequence_of_ids([sq.BOV, *[sq.VISUAL] * 7, sq.EOV]))
 

@@ -184,7 +184,7 @@ def test_qa_templates():
 
 def test_recolor_preserves_outside_mask_bitwise():
     spec = spec_of()
-    pair = sd.make_edit_pair(spec, sd.Recolor("blue"), 8)
+    pair = sd.make_edit_pair("video_edit", spec, sd.Recolor("blue"), 8)
     outside = pair.preserved_mask
     for t in range(8):
         src = pair.source[t][:, outside[t]]
@@ -195,14 +195,14 @@ def test_recolor_preserves_outside_mask_bitwise():
 
 def test_remove_object_target_is_background_only():
     spec = spec_of()
-    pair = sd.make_edit_pair(spec, sd.RemoveObject(), 4)
+    pair = sd.make_edit_pair("video_edit", spec, sd.RemoveObject(), 4)
     expected = sd.render(spec.without_object(), 4)
     assert np.array_equal(pair.target, expected)
 
 
 def test_change_background_shape_kept_background_changed():
     spec = spec_of(background="gray")
-    pair = sd.make_edit_pair(spec, sd.ChangeBackground("black"), 6)
+    pair = sd.make_edit_pair("video_edit", spec, sd.ChangeBackground("black"), 6)
     for t in range(6):
         mask = pair.preserved_mask[t]
         assert np.array_equal(pair.source[t][:, mask], pair.target[t][:, mask])
@@ -213,7 +213,7 @@ def test_change_background_shape_kept_background_changed():
 
 def test_add_object_source_is_background_only():
     spec = spec_of()
-    pair = sd.make_edit_pair(spec, sd.AddObject(), 4)
+    pair = sd.make_edit_pair("video_edit", spec, sd.AddObject(), 4)
     assert np.array_equal(pair.source, sd.render(spec.without_object(), 4))
     assert np.array_equal(pair.target, sd.render(spec, 4))
 
@@ -229,23 +229,23 @@ def test_edit_pair_computes_coverage_once_per_frame(monkeypatch, op):
         return coverage(spec, frame)
 
     monkeypatch.setattr(sd, "coverage", counted)
-    sd.make_edit_pair(spec_of(), op, 5)
+    sd.make_edit_pair("video_edit", spec_of(), op, 5)
     assert sorted(calls) == list(range(5))
 
 
 def test_edit_pair_needs_a_frame():
     with pytest.raises(sd.SynthError):
-        sd.make_edit_pair(spec_of(), sd.RemoveObject(), 0)
+        sd.make_edit_pair("video_edit", spec_of(), sd.RemoveObject(), 0)
 
 
 def test_inapplicable_ops_error():
     spec = spec_of(color="red", background="gray")
     with pytest.raises(sd.SynthError):
-        sd.make_edit_pair(spec, sd.Recolor("red"), 2)
+        sd.make_edit_pair("video_edit", spec, sd.Recolor("red"), 2)
     with pytest.raises(sd.SynthError):
-        sd.make_edit_pair(spec, sd.ChangeBackground("gray"), 2)
+        sd.make_edit_pair("video_edit", spec, sd.ChangeBackground("gray"), 2)
     with pytest.raises(sd.SynthError):
-        sd.make_edit_pair(spec.without_object(), sd.RemoveObject(), 2)
+        sd.make_edit_pair("video_edit", spec.without_object(), sd.RemoveObject(), 2)
 
 
 # -- mixture ---------------------------------------------------------------------
@@ -283,10 +283,16 @@ def test_every_sample_validates():
         assert s.frames() in (1, 8)
 
 
+def test_build_sample_keeps_its_kind_at_one_frame():
+    rng = np.random.default_rng(5)
+    for kind in sd.TASKS:
+        s = sd.build_sample(kind, rng, frames=1)
+        s.validate()
+        assert s.kind == kind and s.frames() == 1
+
+
 def edit_sample(frames=2):
-    pair = sd.make_edit_pair(spec_of(), sd.Recolor("blue"), frames)
-    return sd.Sample(kind="video_edit", spec=pair.spec, source=pair.source, instruction=pair.instruction,
-                     target=pair.target, preserved_mask=pair.preserved_mask, edited_spec=pair.edited_spec)
+    return sd.make_edit_pair("video_edit", spec_of(), sd.Recolor("blue"), frames)
 
 
 def test_validate_rejects_sample_without_video():
