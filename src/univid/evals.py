@@ -64,7 +64,7 @@ def _fit_softmax(x: np.ndarray, y: np.ndarray, classes: int, *, steps: int) -> t
     w = nx.Parameter(np.zeros((x.shape[1], classes), dtype=np.float32))
     b = nx.Parameter(np.zeros(classes, dtype=np.float32))
     xt = nx.Tensor(x)
-    nx.fit([w, b], lambda step: nx.cross_entropy(nx.add(nx.matmul(xt, w), b), y),
+    nx.fit([w, b], lambda step: nx.cross_entropy(nx.linear(xt, w, b), y),
            steps=steps, lr=0.1, weight_decay=1e-4)
     return w.data.copy(), b.data.copy()
 

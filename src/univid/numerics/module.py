@@ -99,7 +99,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(d_out, dtype=dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.weight), self.bias)
+        return T.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):

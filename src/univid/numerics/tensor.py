@@ -2,9 +2,15 @@
 
 A Tensor wraps a float32/float64 ndarray and records the computation graph
 whenever an input requires gradients. Kernels are plain numpy; everything is
-single-threaded and bitwise deterministic for fixed inputs. Every forward op
-checks its output for non-finite values. Each op has one call form, the
-module-level function; a Tensor's only operator is indexing.
+single-threaded and bitwise deterministic for fixed inputs. Each op has one
+call form, the module-level function; a Tensor's only operator is indexing.
+
+Every forward op checks its output for non-finite values, with one exception.
+The rearranging ops (reshape, transpose, slice, concat, window, take) only
+move or zero-fill values of their inputs, so they skip the check when every
+input is itself an op output, which was checked when it was made. A leaf
+(a `Parameter` or a wrapped array) is never checked on its own, so a
+non-finite leaf still raises at the first op that reads it.
 """
 
 from __future__ import annotations
@@ -63,12 +69,12 @@ def no_grad():
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    # float32: single-pass probe, the float64 sum is non-finite iff data
-    # holds nan/inf (float32 finites cannot overflow a float64 accumulator).
-    # float64: large finites can overflow that sum, so check exactly.
-    exact = data.dtype == np.float64
-    if not (np.isfinite(data).all() if exact else np.isfinite(data.sum(dtype=np.float64))):
+    if not np.isfinite(data).all():
         raise NonFiniteError(op)
+
+
+# ops whose output holds only values of their inputs (and zeros)
+_REARRANGING = frozenset({"reshape", "transpose", "slice", "concat", "window", "take"})
 
 
 class Tensor:
@@ -90,7 +96,8 @@ class Tensor:
 
     @staticmethod
     def _from_op(data: np.ndarray, parents: tuple, op: str, backward_fn) -> "Tensor":
-        _check_finite(data, op)
+        if op not in _REARRANGING or any(p._op == "leaf" for p in parents):
+            _check_finite(data, op)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
@@ -135,11 +142,16 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self._op})"
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        """Add `g`, which has this tensor's shape, to the gradient; the first
-        `g` is copied, so it may be a view or shared with another parent."""
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add `g`, which has this tensor's shape, to the gradient.
+
+        The first `g` becomes the gradient. By default it is copied, so it may
+        be a view or an array shared with another parent. With `owned` it is
+        adopted as it is: the caller promises that `g` is an array it has just
+        allocated, that it hands to this tensor only and never reads or writes
+        again, because later gradients are added into it in place."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            self.grad = np.asarray(g, dtype=self.data.dtype) if owned else np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -238,7 +250,7 @@ def sub(a: Tensor, b) -> Tensor:
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
+            b._accumulate(_unbroadcast(-g, b.shape), owned=True)
 
     return Tensor._from_op(out_data, (a, b), "sub", bwd)
 
@@ -250,9 +262,9 @@ def mul(a: Tensor, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.shape), owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
 
     return Tensor._from_op(out_data, (a, b), "mul", bwd)
 
@@ -263,9 +275,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
+            a._accumulate(_unbroadcast(g / b.data, a.shape), owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
 
     return Tensor._from_op(out_data, (a, b), "div", bwd)
 
@@ -274,23 +286,41 @@ def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
 
     def bwd(g):
-        a._accumulate(g * 0.5 / out_data)
+        a._accumulate(g * 0.5 / out_data, owned=True)
 
     return Tensor._from_op(out_data, (a,), "sqrt", bwd)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """GELU, tanh approximation."""
+    """GELU, tanh approximation: x * 0.5 * (1 + tanh(c * (x + 0.044715 * x^3))).
+
+    Both directions update one buffer in place, each step the same rounded
+    operation as the plain expression (operands of a product or sum swapped
+    at most), so the results are bitwise those of the plain expression."""
     x = a.data
     c = math.sqrt(2.0 / math.pi)
     x2 = x * x
-    th = np.tanh(c * (x + 0.044715 * (x2 * x)))
-    half_one_plus = 0.5 * (1.0 + th)
+    th = np.multiply(x2, x, out=np.empty_like(x))  # an array even when x is 0-d
+    th *= 0.044715
+    th += x
+    th *= c
+    np.tanh(th, out=th)
+    half_one_plus = th + 1.0
+    half_one_plus *= 0.5
     out_data = x * half_one_plus
 
     def bwd(g):
-        d = half_one_plus + (0.5 * c) * x * (1.0 - th * th) * (1.0 + 0.134145 * x2)
-        a._accumulate(g * d)
+        # half_one_plus + (0.5 * c) * x * (1 - th * th) * (1 + 0.134145 * x2), then times g
+        d = np.multiply(th, th, out=np.empty_like(th))
+        np.subtract(1.0, d, out=d)
+        t = np.multiply(x, 0.5 * c, out=np.empty_like(x))
+        d *= t
+        np.multiply(x2, 0.134145, out=t)
+        t += 1.0
+        d *= t
+        d += half_one_plus
+        d *= g
+        a._accumulate(d, owned=True)
 
     return Tensor._from_op(out_data, (a,), "gelu", bwd)
 
@@ -314,20 +344,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if flat_weight:
-            g2 = g.reshape(-1, b.shape[-1])
-            if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                b._accumulate(a.data.reshape(-1, a.shape[-1]).T @ g2)
+            _flat_matmul_grads(g, a, b)
             return
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape))
+            a._accumulate(_unbroadcast(ga, a.shape), owned=True)
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape))
+            b._accumulate(_unbroadcast(gb, b.shape), owned=True)
 
     return Tensor._from_op(out_data, (a, b), "matmul", bwd)
+
+
+def _flat_matmul_grads(g: np.ndarray, x: Tensor, w: Tensor) -> None:
+    """Gradients of x [..., k] @ w [k, n], computed as one flat gemm each."""
+    g2 = g.reshape(-1, w.shape[-1])
+    if x.requires_grad:
+        x._accumulate((g2 @ w.data.T).reshape(x.shape), owned=True)
+    if w.requires_grad:
+        w._accumulate(x.data.reshape(-1, x.shape[-1]).T @ g2, owned=True)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x [..., k] @ w [k, n] + b [n] as one node: one gemm, the bias added in
+    place into its output. Values and gradients are bitwise those of
+    `add(matmul(x, w), b)`."""
+    if not (x.dtype == w.dtype == b.dtype):
+        raise DtypeError("linear", f"dtype mismatch: {x.dtype}, {w.dtype}, {b.dtype}")
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError("linear", f"cannot apply weight {w.shape} and bias {b.shape} to {x.shape}")
+    out_data = (x.data.reshape(-1, x.shape[-1]) @ w.data).reshape(*x.shape[:-1], w.shape[1])
+    out_data += b.data
+
+    def bwd(g):
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape), owned=True)
+        _flat_matmul_grads(g, x, w)
+
+    return Tensor._from_op(out_data, (x, w, b), "linear", bwd)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -395,7 +449,9 @@ def window(a: Tensor, axes: tuple, size: int, stride: int, before: int, after: i
     windowed, holds the C channels of every window entry in turn, the last of
     `axes` varying fastest: over axes (i, j), the entry at offsets (k_i, k_j)
     fills channels (k_i * size + k_j) * C up to (k_i * size + k_j + 1) * C.
-    Backward adds each entry back at its offset into one zeroed buffer.
+    No padded copy is made: forward copies the in-range part of each entry
+    into a zeroed output, and backward adds it back into a zeroed gradient
+    of `a`'s shape.
     """
     axes = tuple(axes)
     if a.ndim < 1 or not all(0 <= ax < a.ndim - 1 for ax in axes) or len(set(axes)) != len(axes):
@@ -403,26 +459,37 @@ def window(a: Tensor, axes: tuple, size: int, stride: int, before: int, after: i
     if size < 1 or stride < 1 or before < 0 or after < 0:
         raise ShapeError("window", f"size {size} and stride {stride} must be positive, "
                                    f"padding ({before}, {after}) not negative")
-    widths = [(before, after) if ax in axes else (0, 0) for ax in range(a.ndim)]
-    padded_shape = tuple(n + w0 + w1 for n, (w0, w1) in zip(a.shape, widths))
-    if any(padded_shape[ax] < size for ax in axes):
-        raise ShapeError("window", f"window of {size} is longer than padded shape {padded_shape}")
-    blocks = []  # index of each window entry in the padded array, in channel order
-    for offsets in itertools.product(range(size), repeat=len(axes)):
-        idx = [slice(None)] * a.ndim
-        for ax, k in zip(axes, offsets):
-            idx[ax] = slice(k, k + padded_shape[ax] - size + 1, stride)
-        blocks.append(tuple(idx))
-    padded = np.pad(a.data, widths)
-    out_data = np.concatenate([padded[idx] for idx in blocks], axis=-1)
+    # windows per axis; none when the padded axis is shorter than one window
+    counts = {ax: (a.shape[ax] + before + after - size) // stride + 1 for ax in axes}
+    if any(n < 1 for n in counts.values()):
+        raise ShapeError("window", f"window of {size} is longer than an axis of {a.shape} padded by ({before}, {after})")
     c = a.shape[-1]
-    interior = tuple(slice(w0, w0 + n) for n, (w0, _) in zip(a.shape, widths))
+    out_shape = tuple(counts.get(ax, n) for ax, n in enumerate(a.shape[:-1])) + (size ** len(axes) * c,)
+    # (destination in the output, source in `a`) of the in-range part of each
+    # window entry, in channel order; window j of entry k reads source j * stride + k - before
+    pairs = []
+    for i, offsets in enumerate(itertools.product(range(size), repeat=len(axes))):
+        dst, src = [slice(None)] * a.ndim, [slice(None)] * a.ndim
+        dst[-1] = slice(i * c, (i + 1) * c)
+        for ax, k in zip(axes, offsets):
+            lo = max(0, -(-(before - k) // stride))  # first window whose source is >= 0
+            hi = min(counts[ax], (a.shape[ax] - 1 + before - k) // stride + 1)  # one past the last
+            if lo >= hi:
+                break
+            dst[ax] = slice(lo, hi)
+            first = lo * stride + k - before
+            src[ax] = slice(first, first + (hi - lo - 1) * stride + 1, stride)
+        else:
+            pairs.append((tuple(dst), tuple(src)))
+    out_data = np.zeros(out_shape, dtype=a.dtype)
+    for dst, src in pairs:
+        out_data[dst] = a.data[src]
 
     def bwd(g):
-        buf = np.zeros(padded_shape, dtype=a.dtype)
-        for i, idx in enumerate(blocks):
-            buf[idx] += g[..., i * c:(i + 1) * c]
-        a._accumulate(buf[interior])
+        ga = np.zeros(a.shape, dtype=a.dtype)
+        for dst, src in pairs:
+            ga[src] += g[dst]
+        a._accumulate(ga, owned=True)
 
     return Tensor._from_op(out_data, (a,), "window", bwd)
 
@@ -446,7 +513,7 @@ def slice_(a: Tensor, key) -> Tensor:
     def bwd(g):
         buf = np.zeros_like(a.data)
         buf[key] = g
-        a._accumulate(buf)
+        a._accumulate(buf, owned=True)
 
     return Tensor._from_op(out_data, (a,), "slice", bwd)
 
@@ -465,7 +532,7 @@ def take(a: Tensor, indices: np.ndarray) -> Tensor:
     def bwd(g):
         buf = np.zeros_like(a.data)
         np.add.at(buf, idx, g)
-        a._accumulate(buf)
+        a._accumulate(buf, owned=True)
 
     return Tensor._from_op(out_data, (a,), "take", bwd)
 
@@ -516,7 +583,7 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         # a C-order copy: `_accumulate` would keep the view's memory order,
         # which is not C when a middle axis is broadcast, and later matmuls
         # on that gradient would round differently
-        a._accumulate(np.broadcast_to(gg, a.shape).copy())
+        a._accumulate(np.broadcast_to(gg, a.shape).copy(), owned=True)
 
     return Tensor._from_op(out_data, (a,), "sum", bwd)
 
@@ -538,7 +605,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def bwd(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
-        a._accumulate(out_data * (g - dot))
+        a._accumulate(out_data * (g - dot), owned=True)
 
     return Tensor._from_op(out_data, (a,), "softmax", bwd)
 
@@ -551,11 +618,11 @@ def layer_norm(a: Tensor) -> Tensor:
     xc = a.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
-    out_data = (xc * inv).astype(a.dtype)
+    out_data = (xc * inv).astype(a.dtype, copy=False)
 
     def bwd(g):
         gx = inv * (g - g.mean(axis=-1, keepdims=True) - out_data * (g * out_data).mean(axis=-1, keepdims=True))
-        a._accumulate(gx.astype(a.dtype))
+        a._accumulate(gx.astype(a.dtype, copy=False), owned=True)
 
     return Tensor._from_op(out_data, (a,), "layer_norm", bwd)
 
@@ -623,7 +690,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     def bwd(g):
         probs = np.exp(logp)
         probs[np.arange(n), t] -= 1.0
-        logits._accumulate(probs * (g / n))
+        logits._accumulate(probs * (g / n), owned=True)
 
     return Tensor._from_op(out_data, (logits,), "cross_entropy", bwd)
 

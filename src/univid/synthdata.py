@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -63,6 +64,12 @@ class SceneSpec:
     def without_object(self) -> "SceneSpec":
         return dataclasses.replace(self, has_object=False)
 
+    @functools.cached_property
+    def jitter(self) -> tuple[int, int]:
+        """(x, y) pixel offset of the start position: two `choice(_JITTER)` draws from `seed`, made once."""
+        jx, jy = np.random.default_rng(self.seed).integers(len(_JITTER), size=2)
+        return _JITTER[jx], _JITTER[jy]
+
 
 def random_spec(rng: np.random.Generator) -> SceneSpec:
     # one draw per attribute in field order, then the seed
@@ -78,8 +85,7 @@ def _center(spec: SceneSpec, frame: int) -> tuple[int, int]:
     function of (motion, seed), plus frame * velocity, clamped so the shape
     stays on the canvas."""
     vx, vy = MOTIONS[spec.motion]
-    # the same two values as two `choice(_JITTER)` draws, at a third of the cost
-    jx, jy = (_JITTER[i] for i in np.random.default_rng(spec.seed).integers(len(_JITTER), size=2))
+    jx, jy = spec.jitter
     lo, hi = SIZES[spec.size], CANVAS - 1 - SIZES[spec.size]
     cx = CANVAS // 2 - 6 * vx + jx + vx * frame
     cy = CANVAS // 2 - 6 * vy + jy + vy * frame

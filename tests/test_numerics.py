@@ -1,10 +1,11 @@
 """Tensor library: primitives, losses, autodiff, optimizer, grad checker."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from univid import numerics as nx
 from univid.numerics import tensor as tz
@@ -40,6 +41,30 @@ def test_layer_norm_constant_vector_matches_scalar_oracle():
     out = nx.layer_norm(t64(x))
     assert np.allclose(out.numpy(), expected, atol=1e-12)
     assert np.allclose(out.numpy(), 0.0)
+
+
+def gelu_plain(x, g):
+    """GELU's output and input gradient as plain expressions."""
+    c = math.sqrt(2.0 / math.pi)
+    th = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    half_one_plus = 0.5 * (1.0 + th)
+    d = half_one_plus + (0.5 * c) * x * (1.0 - th * th) * (1.0 + 0.134145 * (x * x))
+    return x * half_one_plus, g * d
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(), (7,), (33, 65)])
+def test_gelu_matches_plain_expression_bitwise(shape, dtype):
+    rng = np.random.default_rng(len(shape))
+    x = (rng.standard_normal(shape) * 3).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    for data, gd in ((x, g), (x.T, g.T)):  # in 2-d, also a transposed view
+        want_out, want_grad = gelu_plain(data, gd)
+        a = nx.Tensor(data, requires_grad=True)
+        out = nx.gelu(a)
+        nx.sum_(nx.mul(out, nx.Tensor(gd))).backward()
+        assert np.asarray(out.numpy()).tobytes() == np.asarray(want_out).tobytes()
+        assert a.grad.tobytes() == np.asarray(want_grad).tobytes()
 
 
 def test_shape_errors_name_the_primitive():
@@ -147,6 +172,44 @@ def test_finite_check_catches_inf_and_nan(dtype, bad):
         nx.add(nx.Tensor(np.array([1.0, bad, 2.0], dtype=dtype)), 0.0)
 
 
+REARRANGING = {
+    "reshape": lambda t: nx.reshape(t, (12,)),
+    "transpose": lambda t: nx.transpose(t, (1, 0, 2)),
+    "slice": lambda t: t[1:, :2],
+    "concat": lambda t: nx.concat([t, t], axis=0),
+    "window": lambda t: nx.window(t, (0,), 2, 1, 1, 0),
+    "take": lambda t: nx.take(t, np.array([1, 0, 1])),
+}
+
+
+@pytest.mark.parametrize("op", sorted(REARRANGING))
+def test_rearranging_a_non_finite_leaf_raises(op):
+    x = np.ones((2, 3, 2), dtype=np.float32)
+    x[1, 1, 0] = np.nan
+    with pytest.raises(nx.NonFiniteError) as err:
+        REARRANGING[op](nx.Tensor(x))
+    assert err.value.op == op
+
+
+def test_rearranging_an_op_output_is_not_checked_again(monkeypatch):
+    checked = []
+    check = tz._check_finite
+
+    def counted(data, op):
+        checked.append(op)
+        check(data, op)
+
+    monkeypatch.setattr(tz, "_check_finite", counted)
+    leaf = nx.Tensor(np.ones((2, 3, 2), dtype=np.float32))
+    h = nx.mul(leaf, 2.0)
+    for rearrange in REARRANGING.values():
+        rearrange(h)
+    assert checked == ["mul"]
+    # an op output next to a leaf is checked, since the leaf never was
+    nx.concat([h, leaf], axis=0)
+    assert checked == ["mul", "concat"]
+
+
 # -- losses -------------------------------------------------------------------
 
 
@@ -215,6 +278,61 @@ def test_backward_through_freed_graph_raises():
     assert np.array_equal(p.grad, [3.0, 3.0])
 
 
+def test_add_gives_each_parent_its_own_gradient():
+    a = nx.Tensor(np.ones((2, 3)), requires_grad=True)
+    b = nx.Tensor(np.ones((2, 3)), requires_grad=True)
+    nx.sum_(nx.add(a, b)).backward()
+    a.grad += 5.0
+    assert np.array_equal(b.grad, np.ones((2, 3)))
+
+
+def test_reshape_gives_its_parent_its_own_gradient():
+    a = nx.Tensor(np.ones((1, 1)), requires_grad=True)
+    loss = nx.reshape(a, ())
+    loss.backward()
+    a.grad += 5.0
+    assert np.array_equal(loss.grad, np.ones(()))
+
+
+def test_linear_is_matmul_plus_bias_bitwise():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((3, 5, 6)).astype(np.float32)
+    w = rng.standard_normal((6, 4)).astype(np.float32)
+    b = rng.standard_normal(4).astype(np.float32)
+    g = rng.standard_normal((3, 5, 4)).astype(np.float32)
+    results = []
+    for f in (lambda x, w, b: nx.add(nx.matmul(x, w), b), nx.linear):
+        ps = [nx.Parameter(v.copy()) for v in (x, w, b)]
+        out = f(*ps)
+        nx.sum_(nx.mul(out, nx.Tensor(g))).backward()
+        results.append([out.numpy().tobytes()] + [p.grad.tobytes() for p in ps])
+    assert results[0] == results[1]
+
+
+def test_linear_matches_finite_differences():
+    rng = np.random.default_rng(8)
+    x, w, b = (nx.Parameter(rng.standard_normal(shape)) for shape in ((2, 3, 5), (5, 4), (4,)))
+    y = t64(rng.standard_normal((2, 3, 4)))
+    errs = nx.grad_check(lambda: nx.mse(nx.linear(x, w, b), y), [x, w, b])
+    assert max(errs) <= 1e-6, errs
+
+
+def test_linear_errors_name_the_op():
+    x, w, b = np.zeros((2, 3), np.float32), np.zeros((3, 4), np.float32), np.zeros(4, np.float32)
+    bad_calls = [
+        (nx.DtypeError, (x, w.astype(np.float64), b)),
+        (nx.DtypeError, (x, w, b.astype(np.float64))),
+        (nx.ShapeError, (x, w.T, b)),
+        (nx.ShapeError, (x, w, np.zeros(3, np.float32))),
+        (nx.ShapeError, (x[0], w, b)),
+        (nx.ShapeError, (x, w[None], b)),
+    ]
+    for error, args in bad_calls:
+        with pytest.raises(error) as err:
+            nx.linear(*map(nx.Tensor, args))
+        assert err.value.op == "linear"
+
+
 def test_three_layer_mlp_matches_finite_differences():
     rng = np.random.default_rng(7)
     layers = [nx.Linear(6, 8, rng, dtype=np.float64), nx.Linear(8, 8, rng, dtype=np.float64),
@@ -251,6 +369,7 @@ PRIMITIVE_CASES = {
     "pad": lambda p, rng: nx.pad_axis(p, 0, 1, 2),
     "window": lambda p, rng: nx.window(p, (0,), 2, 2, 1, 2),
     "window_2d": lambda p, rng: nx.window(nx.reshape(p, (2, 2, 5)), (0, 1), 3, 1, 1, 1),
+    "window_2d_stride2": lambda p, rng: nx.window(nx.reshape(p, (2, 5, 2)), (1, 0), 3, 2, 2, 1),
     "slice": lambda p, rng: p[1:3, :2],
     "take": lambda p, rng: nx.take(p, np.array([0, 2, 2, 1])),
     "add_rows": lambda p, rng: nx.add_rows(p, np.array([1, 3]), t64(rng.standard_normal((2, p.shape[1])))),
@@ -338,6 +457,54 @@ def test_window_matches_compositions_bitwise(name, shape, reference, windowed):
         nx.sum_(nx.mul(out, nx.Tensor(w))).backward()
         results.append((out.shape, out.numpy().tobytes(), p.grad.tobytes()))
     assert results[0] == results[1]
+
+
+def window_oracle(x, axes, size, stride, before, after):
+    """The padded window: forward by np.pad and a concat of strided views, and
+    a backward that scatters into a padded buffer, then crops the interior."""
+    widths = [(before, after) if ax in axes else (0, 0) for ax in range(x.ndim)]
+    padded = np.pad(x, widths)
+    blocks = []
+    for offsets in itertools.product(range(size), repeat=len(axes)):
+        idx = [slice(None)] * x.ndim
+        for ax, k in zip(axes, offsets):
+            idx[ax] = slice(k, k + padded.shape[ax] - size + 1, stride)
+        blocks.append(tuple(idx))
+    c = x.shape[-1]
+
+    def backward(g):
+        buf = np.zeros_like(padded)
+        for i, idx in enumerate(blocks):
+            buf[idx] += g[..., i * c:(i + 1) * c]
+        return buf[tuple(slice(w0, w0 + n) for n, (w0, _) in zip(x.shape, widths))]
+
+    return np.concatenate([padded[idx] for idx in blocks], axis=-1), backward
+
+
+@st.composite
+def window_calls(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=4)))
+    axes = tuple(draw(st.permutations(range(len(shape) - 1)).flatmap(
+        lambda order: st.integers(0, len(order)).map(lambda n: order[:n]))))
+    size, stride, before, after = (draw(st.integers(lo, hi)) for lo, hi in ((1, 4), (1, 3), (0, 3), (0, 3)))
+    assume(all(shape[ax] + before + after >= size for ax in axes))
+    return shape, axes, size, stride, before, after
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_calls(), st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+def test_window_matches_padded_oracle_bitwise(call, dtype, seed):
+    shape, axes, size, stride, before, after = call
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape).astype(dtype)
+    expected, oracle_backward = window_oracle(x, axes, size, stride, before, after)
+    a = nx.Tensor(x, requires_grad=True)
+    out = nx.window(a, axes, size, stride, before, after)
+    assert out.dtype == dtype and out.shape == expected.shape
+    assert out.numpy().tobytes() == expected.tobytes()
+    g = rng.standard_normal(expected.shape).astype(dtype)
+    nx.sum_(nx.mul(out, nx.Tensor(g))).backward()
+    assert a.grad.dtype == dtype and a.grad.tobytes() == oracle_backward(g).tobytes()
 
 
 def test_window_shape_errors():

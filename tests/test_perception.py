@@ -3,6 +3,7 @@ the latent normalization round trip; the frame encoder's shape rules and unit
 embeddings; both pretraining entry points at tiny size."""
 
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -148,6 +149,28 @@ def test_pretrain_repeats_bitwise(name):
     assert ha == hb
     for pa, pb in zip(a.parameters(), b.parameters(), strict=True):
         assert pa.name == pb.name and pa.data.tobytes() == pb.data.tobytes()
+
+
+# SHA-256 of each tiny run's loss history and every parameter (name, dtype,
+# shape, bytes). An engine change that moves one bit of a forward or backward
+# kernel, or the order in which gradients are summed, fails here.
+PRETRAIN_DIGESTS = {
+    "vae": "8c6a06868fe4f7d3ec080a2920b5e0f02e7a325cc5c0f8e6a7a04cb70120dd23",
+    "encoder": "39d37d3d2a4a99c8305624fb60adf1b3afa91d7c48db7ed358c9be206031b4da",
+}
+
+
+def pretrain_digest(model, history) -> str:
+    h = hashlib.sha256(np.asarray(history, dtype=np.float64).tobytes())
+    for p in model.parameters():
+        h.update(f"{p.name}{p.dtype}{p.shape}".encode())
+        h.update(p.data.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", PRETRAIN)
+def test_pretrain_is_pinned_by_digest(name):
+    assert pretrain_digest(*pretrained(name)) == PRETRAIN_DIGESTS[name]
 
 
 def test_pretrain_vae_records_latent_stats():

@@ -58,6 +58,18 @@ def test_standard_corpus_never_clamps():
             assert sd._center(spec, t) == (x0 + vx * t, y0 + vy * t)
 
 
+def test_jitter_is_drawn_once_per_spec(monkeypatch):
+    spec = spec_of(seed=11)
+    rng = np.random.default_rng(spec.seed)
+    want = tuple(int(rng.choice(sd._JITTER)) for _ in range(2))
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(seed) or default_rng(seed))
+    sd.render(spec, 12)
+    sd.render(spec, 8)
+    assert made == [11] and spec.jitter == want
+
+
 def test_pixels_in_unit_range_with_exact_flat_regions():
     spec = spec_of(color="yellow", background="black")
     video = sd.render(spec, 1)
