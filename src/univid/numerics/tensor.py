@@ -10,7 +10,9 @@ The rearranging ops (reshape, transpose, slice, concat, window, take) only
 move or zero-fill values of their inputs, so they skip the check when every
 input is itself an op output, which was checked when it was made. A leaf
 (a `Parameter` or a wrapped array) is never checked on its own, so a
-non-finite leaf still raises at the first op that reads it.
+non-finite leaf still raises at the first op that reads it. `window_linear`
+is not a rearranging op: it sums products, which can overflow, so its output
+is always checked.
 """
 
 from __future__ import annotations
@@ -441,6 +443,38 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._from_op(out_data, tuple(tensors), "concat", bwd)
 
 
+def _window_pairs(op: str, a: Tensor, axes: tuple, size: int, stride: int, before: int, after: int):
+    """Check a window over `axes` of `a` and return (the leading shape of its
+    output, its pairs). A pair (i, destination, source) covers the in-range
+    part of window entry i, entries in channel order: `source` indexes `a`,
+    `destination` the output, both on every axis but the channel axis. Window
+    j of entry k reads source j * stride + k - before; an entry wholly in the
+    padding has no pair."""
+    if a.ndim < 1 or not all(0 <= ax < a.ndim - 1 for ax in axes) or len(set(axes)) != len(axes):
+        raise ShapeError(op, f"axes {axes} must be distinct and lie before the last (channel) axis of {a.shape}")
+    if size < 1 or stride < 1 or before < 0 or after < 0:
+        raise ShapeError(op, f"size {size} and stride {stride} must be positive, "
+                             f"padding ({before}, {after}) not negative")
+    # windows per axis; none when the padded axis is shorter than one window
+    counts = {ax: (a.shape[ax] + before + after - size) // stride + 1 for ax in axes}
+    if any(n < 1 for n in counts.values()):
+        raise ShapeError(op, f"window of {size} is longer than an axis of {a.shape} padded by ({before}, {after})")
+    pairs = []
+    for i, offsets in enumerate(itertools.product(range(size), repeat=len(axes))):
+        dst, src = [slice(None)] * (a.ndim - 1), [slice(None)] * (a.ndim - 1)
+        for ax, k in zip(axes, offsets):
+            lo = max(0, -(-(before - k) // stride))  # first window whose source is >= 0
+            hi = min(counts[ax], (a.shape[ax] - 1 + before - k) // stride + 1)  # one past the last
+            if lo >= hi:
+                break
+            dst[ax] = slice(lo, hi)
+            first = lo * stride + k - before
+            src[ax] = slice(first, first + (hi - lo - 1) * stride + 1, stride)
+        else:
+            pairs.append((i, tuple(dst), tuple(src)))
+    return tuple(counts.get(ax, n) for ax, n in enumerate(a.shape[:-1])), pairs
+
+
 def window(a: Tensor, axes: tuple, size: int, stride: int, before: int, after: int) -> Tensor:
     """Sliding windows over `axes`, laid side by side on the last axis.
 
@@ -454,44 +488,75 @@ def window(a: Tensor, axes: tuple, size: int, stride: int, before: int, after: i
     of `a`'s shape.
     """
     axes = tuple(axes)
-    if a.ndim < 1 or not all(0 <= ax < a.ndim - 1 for ax in axes) or len(set(axes)) != len(axes):
-        raise ShapeError("window", f"axes {axes} must be distinct and lie before the last (channel) axis of {a.shape}")
-    if size < 1 or stride < 1 or before < 0 or after < 0:
-        raise ShapeError("window", f"size {size} and stride {stride} must be positive, "
-                                   f"padding ({before}, {after}) not negative")
-    # windows per axis; none when the padded axis is shorter than one window
-    counts = {ax: (a.shape[ax] + before + after - size) // stride + 1 for ax in axes}
-    if any(n < 1 for n in counts.values()):
-        raise ShapeError("window", f"window of {size} is longer than an axis of {a.shape} padded by ({before}, {after})")
+    lead, pairs = _window_pairs("window", a, axes, size, stride, before, after)
     c = a.shape[-1]
-    out_shape = tuple(counts.get(ax, n) for ax, n in enumerate(a.shape[:-1])) + (size ** len(axes) * c,)
-    # (destination in the output, source in `a`) of the in-range part of each
-    # window entry, in channel order; window j of entry k reads source j * stride + k - before
-    pairs = []
-    for i, offsets in enumerate(itertools.product(range(size), repeat=len(axes))):
-        dst, src = [slice(None)] * a.ndim, [slice(None)] * a.ndim
-        dst[-1] = slice(i * c, (i + 1) * c)
-        for ax, k in zip(axes, offsets):
-            lo = max(0, -(-(before - k) // stride))  # first window whose source is >= 0
-            hi = min(counts[ax], (a.shape[ax] - 1 + before - k) // stride + 1)  # one past the last
-            if lo >= hi:
-                break
-            dst[ax] = slice(lo, hi)
-            first = lo * stride + k - before
-            src[ax] = slice(first, first + (hi - lo - 1) * stride + 1, stride)
-        else:
-            pairs.append((tuple(dst), tuple(src)))
-    out_data = np.zeros(out_shape, dtype=a.dtype)
-    for dst, src in pairs:
-        out_data[dst] = a.data[src]
+    out_data = np.zeros(lead + (size ** len(axes) * c,), dtype=a.dtype)
+    for i, dst, src in pairs:
+        out_data[dst + (slice(i * c, (i + 1) * c),)] = a.data[src]
 
     def bwd(g):
         ga = np.zeros(a.shape, dtype=a.dtype)
-        for dst, src in pairs:
-            ga[src] += g[dst]
+        for i, dst, src in pairs:
+            ga[src] += g[dst + (slice(i * c, (i + 1) * c),)]
         a._accumulate(ga, owned=True)
 
     return Tensor._from_op(out_data, (a,), "window", bwd)
+
+
+def window_linear(a: Tensor, w: Tensor, b: Tensor, axes: tuple, size: int, stride: int,
+                  before: int, after: int) -> Tensor:
+    """`linear(window(a, axes, size, stride, before, after), w, b)` as one
+    node that never builds the window.
+
+    Window entry i's weight rows are w[i * C:(i + 1) * C]. Forward starts the
+    output at the bias and adds, per entry, the in-range rows of `a` times
+    those weight rows into the output rows they reach, one flat gemm each.
+    Backward runs one gemm per entry for `a`'s gradient and one for `w`'s,
+    so no buffer in either direction is wider than `a` or the output. Values
+    equal the composition's up to the order in which products are summed."""
+    axes = tuple(axes)
+    if not (a.dtype == w.dtype == b.dtype):
+        raise DtypeError("window_linear", f"dtype mismatch: {a.dtype}, {w.dtype}, {b.dtype}")
+    if a.ndim < 2:
+        raise ShapeError("window_linear", f"input must be >=2-d, got {a.shape}")
+    lead, pairs = _window_pairs("window_linear", a, axes, size, stride, before, after)
+    c = a.shape[-1]
+    if w.ndim != 2 or w.shape[0] != size ** len(axes) * c or b.shape != w.shape[1:]:
+        raise ShapeError("window_linear", f"cannot apply weight {w.shape} and bias {b.shape} "
+                                          f"to windows of {size ** len(axes)} entries of {a.shape}")
+    n = w.shape[1]
+    w_entries = w.data.reshape(-1, c, n)
+    out_data = np.empty(lead + (n,), dtype=a.dtype)
+    out_data[...] = b.data
+    for i, dst, src in pairs:
+        x = a.data[src]
+        out_data[dst] += (x.reshape(-1, c) @ w_entries[i]).reshape(*x.shape[:-1], n)
+
+    def bwd(g):
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape), owned=True)
+        g_rows = g.reshape(-1, n)
+        if a.requires_grad:
+            ga = np.zeros(a.shape, dtype=a.dtype)
+            for i, dst, src in pairs:
+                ga[src] += (g_rows @ w_entries[i].T).reshape(lead + (c,))[dst]
+            a._accumulate(ga, owned=True)
+        if w.requires_grad:
+            # each entry's gradient sums over every output row, with zero rows
+            # where the entry reads padding, as the composition's gemm does.
+            # Over the in-range rows alone, OpenBLAS rounds the sum differently
+            # at another thread count when their number is not a multiple of
+            # 32, as on the VAE's 7x8 and 7x7 borders; its output row counts
+            # are multiples of 64
+            gw = np.zeros(w.shape, dtype=w.dtype)
+            entry = np.empty(lead + (c,), dtype=a.dtype)
+            for i, dst, src in pairs:
+                entry.fill(0)
+                entry[dst] = a.data[src]
+                gw[i * c:(i + 1) * c] = entry.reshape(-1, c).T @ g_rows
+            w._accumulate(gw, owned=True)
+
+    return Tensor._from_op(out_data, (a, w, b), "window_linear", bwd)
 
 
 def pad_axis(a: Tensor, axis: int, before: int, after: int) -> Tensor:

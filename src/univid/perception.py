@@ -35,6 +35,8 @@ VAE_HIDDEN = 64
 VAE_TEMPORAL_HIDDEN = 128
 LATENT_CHANNELS = 4
 LATENT_SIZE = FRAME_SIZE // SPATIAL_PATCH
+# the VAE's 3x3 spatial context over [T, B, 8, 8, C]: axes, size, stride, padding
+_CONTEXT_3X3 = ((2, 3), 3, 1, 1, 1)
 
 
 def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
@@ -170,7 +172,10 @@ class CausalVideoVae(nx.Module):
     Encoder latent frame k sees input frames 2k-2 .. 2k+1 only (left-padded),
     so perturbing input frame j never changes latents with 2k+1 < j. All
     internal tensors are time-major [T, B, 8, 8, C] so whole batches run in
-    one graph. `seed` fixes the initial weights.
+    one graph. The windowed layers (the 3x3 spatial contexts, the causal
+    stride-2 temporal windows, the decoder's latent pairs) are each one
+    `window_linear` node over their `Linear`'s weight and bias, so no window
+    tensor is built in either direction. `seed` fixes the initial weights.
     """
 
     def __init__(self, seed: int = 202):
@@ -192,16 +197,6 @@ class CausalVideoVae(nx.Module):
         self.latent_mean = nx.Parameter(np.zeros(LATENT_CHANNELS, dtype=np.float32), trainable=False)
         self.latent_std = nx.Parameter(np.ones(LATENT_CHANNELS, dtype=np.float32), trainable=False)
 
-    # layout helpers: [T, B, 8, 8, C]
-
-    def _spatial_context(self, h: Tensor) -> Tensor:
-        """3x3 neighborhood concat along channels: [T,B,8,8,C] -> [T,B,8,8,9C]."""
-        return nx.window(h, (2, 3), 3, 1, 1, 1)
-
-    def _temporal_windows(self, h: Tensor) -> Tensor:
-        """Causal stride-2 windows over axis 0: frames 2k-2 .. 2k+1 per latent k."""
-        return nx.window(h, (0,), 4, 2, 2, h.shape[0] % 2)
-
     def encode_batch(self, videos: np.ndarray) -> Tensor:
         """[B, T, 3, 32, 32] with T in VALID_FRAME_COUNTS -> [B, T', 4, 8, 8], T' = (T + 1) // 2."""
         videos = _as_frames(videos, ("B", "T"), "vae_encode")
@@ -210,9 +205,10 @@ class CausalVideoVae(nx.Module):
         p, g = SPATIAL_PATCH, LATENT_SIZE
         x = videos.reshape(b, t, 3, g, p, g, p).transpose(1, 0, 3, 5, 2, 4, 6)  # [T, B, g, g, 3, p, p]
         h = nx.gelu(self.enc_embed(Tensor(x.reshape(t, b, g, g, 3 * p * p))))
-        h = nx.gelu(self.enc_spatial(self._spatial_context(h)))
-        h = self._temporal_windows(h)
-        h = nx.gelu(self.enc_temporal(h))
+        h = nx.gelu(nx.window_linear(h, self.enc_spatial.weight, self.enc_spatial.bias, *_CONTEXT_3X3))
+        # causal stride-2 windows over time: frames 2k-2 .. 2k+1 per latent k
+        h = nx.gelu(nx.window_linear(h, self.enc_temporal.weight, self.enc_temporal.bias,
+                                     (0,), 4, 2, 2, h.shape[0] % 2))
         z = self.enc_out(h)  # [T', B, 8, 8, 4]
         return nx.transpose(z, (1, 0, 4, 2, 3))
 
@@ -230,10 +226,13 @@ class CausalVideoVae(nx.Module):
             raise nx.ShapeError("vae_decode", f"{frames} frames incompatible with {t_lat} latent frames")
         h = nx.transpose(latents, (1, 0, 3, 4, 2))  # [T', B, 8, 8, 4]
         h = nx.gelu(self.dec_embed(h))
-        gmean = nx.mean(h, axis=(2, 3), keepdims=True)
-        gtile = nx.add(Tensor(np.zeros(h.shape, h.dtype)), gmean)  # broadcast the summary to the grid
-        h = nx.gelu(self.dec_spatial(nx.concat([self._spatial_context(h), gtile], axis=-1)))
-        h = nx.gelu(self.dec_temporal(nx.window(h, (0,), 2, 1, 1, 0)))  # latents k-1 and k
+        # dec_spatial's first rows read the 3x3 context and its last VAE_HIDDEN
+        # rows the scene summary (the grid mean), whose product is broadcast
+        ctx, w = 9 * VAE_HIDDEN, self.dec_spatial.weight
+        summary = nx.matmul(nx.mean(h, axis=(2, 3), keepdims=True), w[ctx:])
+        h = nx.gelu(nx.add(nx.window_linear(h, w[:ctx], self.dec_spatial.bias, *_CONTEXT_3X3), summary))
+        # latents k-1 and k
+        h = nx.gelu(nx.window_linear(h, self.dec_temporal.weight, self.dec_temporal.bias, (0,), 2, 1, 1, 0))
         out = self.dec_out(h)  # [T', B, 8, 8, 2 * patch_dim]
         p, g = SPATIAL_PATCH, LATENT_SIZE
         out = nx.reshape(out, (t_lat, b, g, g, 2, 3, p, p))

@@ -155,7 +155,7 @@ def test_pretrain_repeats_bitwise(name):
 # shape, bytes). An engine change that moves one bit of a forward or backward
 # kernel, or the order in which gradients are summed, fails here.
 PRETRAIN_DIGESTS = {
-    "vae": "8c6a06868fe4f7d3ec080a2920b5e0f02e7a325cc5c0f8e6a7a04cb70120dd23",
+    "vae": "80a6010bd9f858f231926b68e8668c2685cb5b309f82d50832ac32759467d314",
     "encoder": "39d37d3d2a4a99c8305624fb60adf1b3afa91d7c48db7ed358c9be206031b4da",
 }
 
@@ -171,6 +171,58 @@ def pretrain_digest(model, history) -> str:
 @pytest.mark.parametrize("name", PRETRAIN)
 def test_pretrain_is_pinned_by_digest(name):
     assert pretrain_digest(*pretrained(name)) == PRETRAIN_DIGESTS[name]
+
+
+# The tiny VAE run as the im2col VAE computed it (each windowed layer built its
+# window tensor and ran one gemm over it): loss history and each parameter's
+# float64 L2 norm. The window-free layers sum the same products in another
+# order, so float32 rounding moves; the digest above pins the bits of the
+# window-free kernels, and this pins how far they may stray from the im2col ones.
+IM2COL_VAE_HISTORY = [0.5699492692947388, 0.08543474972248077, 0.5108632445335388]
+IM2COL_VAE_NORMS = {
+    "latent_mean": 1.2838724232990517,
+    "latent_std": 0.5913525598262821,
+    "enc_embed.weight": 7.9730034761212005,
+    "enc_embed.bias": 0.024508013795503412,
+    "enc_spatial.weight": 8.015587265583317,
+    "enc_spatial.bias": 0.025688396862497326,
+    "enc_temporal.weight": 11.26709702482406,
+    "enc_temporal.bias": 0.03451564471390995,
+    "enc_out.weight": 1.959315939641286,
+    "enc_out.bias": 0.006865358855935102,
+    "dec_embed.weight": 8.101380681147074,
+    "dec_embed.bias": 0.025579969096899833,
+    "dec_spatial.weight": 8.054667013422268,
+    "dec_spatial.bias": 0.02702680280026777,
+    "dec_temporal.weight": 11.372565514457982,
+    "dec_temporal.bias": 0.03788903456700221,
+    "dec_out.weight": 9.857134535207244,
+    "dec_out.bias": 0.0359998249203329,
+}
+
+
+def test_pretrain_vae_stays_within_1e_5_of_the_im2col_vae():
+    model, history = pretrained("vae")
+    assert np.allclose(history, IM2COL_VAE_HISTORY, rtol=1e-5, atol=0.0)
+    norms = {p.name: float(np.linalg.norm(p.data.astype(np.float64))) for p in model.parameters()}
+    assert norms.keys() == IM2COL_VAE_NORMS.keys()
+    for name, expected in IM2COL_VAE_NORMS.items():
+        assert abs(norms[name] - expected) <= 1e-5 * expected, name
+
+
+def test_vae_builds_no_window_tensor(monkeypatch):
+    # the windowed layers are window_linear nodes; a window or concat call
+    # means a 9x-wide context buffer is back
+    calls = []
+    for owner, name in ((nx, "window"), (nx, "concat"), (nx.tensor, "window"), (nx.tensor, "concat")):
+        def counted(*args, _name=name, _op=getattr(owner, name), **kwargs):
+            calls.append(_name)
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    model, _ = pc.pretrain_vae(steps=2, batch=2, stat_videos=2, seed=7)
+    with nx.no_grad():
+        model.decode(model.encode(video(8)))
+    assert calls == []
 
 
 def test_pretrain_vae_records_latent_stats():
