@@ -109,7 +109,7 @@ class LayerNorm(Module):
         self.beta = Parameter(np.zeros(dim, dtype=dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.mul(T.layer_norm(x), self.gamma), self.beta)
+        return T.layer_norm(x, self.gamma, self.beta)
 
 
 class Embedding(Module):
@@ -119,20 +119,6 @@ class Embedding(Module):
 
     def __call__(self, ids: np.ndarray) -> Tensor:
         return T.take(self.table, ids)
-
-
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    """[..., L, d] -> [..., heads, L, d/heads]"""
-    *lead, L, d = x.shape
-    x = T.reshape(x, (*lead, L, heads, d // heads))
-    return T.swap_axes(x, -2, -3)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    """[..., heads, L, dh] -> [..., L, heads*dh]"""
-    x = T.swap_axes(x, -2, -3)
-    *lead, L, h, dh = x.shape
-    return T.reshape(x, (*lead, L, h * dh))
 
 
 class MultiHeadAttention(Module):
@@ -153,14 +139,8 @@ class MultiHeadAttention(Module):
     def __call__(self, x: Tensor, kv: Tensor | None = None, *, causal: bool = False,
                  bias: np.ndarray | None = None) -> Tensor:
         src = kv if kv is not None else x
-        q = _split_heads(self.wq(x), self.heads)
-        k = _split_heads(self.wk(src), self.heads)
-        v = _split_heads(self.wv(src), self.heads)
-        if bias is not None and bias.ndim == 3:
-            # per-batch bias [B, Lq, Lk] -> broadcast over heads
-            bias = bias[:, None, :, :]
-        out = T.attention(q, k, v, causal=causal, bias=bias)
-        return self.wo(_merge_heads(out))
+        out = T.attention(self.wq(x), self.wk(src), self.wv(src), self.heads, causal=causal, bias=bias)
+        return self.wo(out)
 
 
 class FeedForward(Module):
@@ -191,7 +171,11 @@ class TransformerBlock(Module):
 
     def __call__(self, x: Tensor, *, causal: bool = False, cond: Tensor | None = None,
                  cond_bias: np.ndarray | None = None) -> Tensor:
+        if cond is not None and self.cross is None:
+            raise T.ShapeError("cross_attention", "cond given to a block built without cross_dim")
+        if cond_bias is not None and cond is None:
+            raise T.ShapeError("cross_attention", "cond_bias given without cond")
         x = T.add(x, self.attn(self.ln1(x), causal=causal))
-        if self.cross is not None and cond is not None:
+        if cond is not None:
             x = T.add(x, self.cross(self.ln_x(x), kv=cond, bias=cond_bias))
         return T.add(x, self.mlp(self.ln2(x)))

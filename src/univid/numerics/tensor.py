@@ -13,11 +13,19 @@ input is itself an op output, which was checked when it was made. A leaf
 non-finite leaf still raises at the first op that reads it. `window_linear`
 is not a rearranging op: it sums products, which can overflow, so its output
 is always checked.
+
+`attention` and `layer_norm` are each one node whose intermediate values stay
+inside it, so each checks its output alone. In `attention` a NaN or +inf in
+q, k, v, a score or the bias still reaches the output through the softmax and
+raises there; a score or bias entry of -inf gives its key a weight of 0, as a
+mask does, and raises only when it masks a whole row. In `layer_norm` every
+intermediate value reaches the output through a product or a sum.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 from typing import Sequence
@@ -296,11 +304,24 @@ def sqrt(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation: x * 0.5 * (1 + tanh(c * (x + 0.044715 * x^3))).
 
-    Both directions update one buffer in place, each step the same rounded
-    operation as the plain expression (operands of a product or sum swapped
-    at most), so the results are bitwise those of the plain expression."""
+    Each step is the same rounded operation as the plain expression (operands
+    of a product or sum swapped at most), so the results are bitwise those of
+    the plain expression. With no graph recorded, every step writes into the
+    output buffer; otherwise both directions update the few buffers that
+    backward reads in place."""
     x = a.data
     c = math.sqrt(2.0 / math.pi)
+    if not (_grad_enabled and a.requires_grad):
+        out_data = np.multiply(x, x, out=np.empty_like(x))  # an array even when x is 0-d
+        out_data *= x
+        out_data *= 0.044715
+        out_data += x
+        out_data *= c
+        np.tanh(out_data, out=out_data)
+        out_data += 1.0
+        out_data *= 0.5
+        out_data *= x
+        return Tensor._from_op(out_data, (a,), "gelu", None)
     x2 = x * x
     th = np.multiply(x2, x, out=np.empty_like(x))  # an array even when x is 0-d
     th *= 0.044715
@@ -445,26 +466,35 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def _window_pairs(op: str, a: Tensor, axes: tuple, size: int, stride: int, before: int, after: int):
     """Check a window over `axes` of `a` and return (the leading shape of its
-    output, its pairs). A pair (i, destination, source) covers the in-range
-    part of window entry i, entries in channel order: `source` indexes `a`,
-    `destination` the output, both on every axis but the channel axis. Window
-    j of entry k reads source j * stride + k - before; an entry wholly in the
-    padding has no pair."""
+    output, its pairs) from `_window_table`. The checks run on every call, so
+    a bad configuration raises naming `op` however warm the table cache is."""
     if a.ndim < 1 or not all(0 <= ax < a.ndim - 1 for ax in axes) or len(set(axes)) != len(axes):
         raise ShapeError(op, f"axes {axes} must be distinct and lie before the last (channel) axis of {a.shape}")
     if size < 1 or stride < 1 or before < 0 or after < 0:
         raise ShapeError(op, f"size {size} and stride {stride} must be positive, "
                              f"padding ({before}, {after}) not negative")
     # windows per axis; none when the padded axis is shorter than one window
-    counts = {ax: (a.shape[ax] + before + after - size) // stride + 1 for ax in axes}
-    if any(n < 1 for n in counts.values()):
+    if any(a.shape[ax] + before + after < size for ax in axes):
         raise ShapeError(op, f"window of {size} is longer than an axis of {a.shape} padded by ({before}, {after})")
+    return _window_table(a.shape, axes, size, stride, before, after)
+
+
+@functools.lru_cache(maxsize=64)
+def _window_table(shape: tuple, axes: tuple, size: int, stride: int, before: int, after: int):
+    """(The leading shape of the output, its pairs) of a checked window over
+    `axes` of an input of `shape`. A pair (i, destination, source) covers the
+    in-range part of window entry i, entries in channel order: `source`
+    indexes the input, `destination` the output, both on every axis but the
+    channel axis. Window j of entry k reads source j * stride + k - before; an
+    entry wholly in the padding has no pair. Cached: the result is built of
+    tuples and slices, so no caller can change it."""
+    counts = {ax: (shape[ax] + before + after - size) // stride + 1 for ax in axes}
     pairs = []
     for i, offsets in enumerate(itertools.product(range(size), repeat=len(axes))):
-        dst, src = [slice(None)] * (a.ndim - 1), [slice(None)] * (a.ndim - 1)
+        dst, src = [slice(None)] * (len(shape) - 1), [slice(None)] * (len(shape) - 1)
         for ax, k in zip(axes, offsets):
             lo = max(0, -(-(before - k) // stride))  # first window whose source is >= 0
-            hi = min(counts[ax], (a.shape[ax] - 1 + before - k) // stride + 1)  # one past the last
+            hi = min(counts[ax], (shape[ax] - 1 + before - k) // stride + 1)  # one past the last
             if lo >= hi:
                 break
             dst[ax] = slice(lo, hi)
@@ -472,7 +502,7 @@ def _window_pairs(op: str, a: Tensor, axes: tuple, size: int, stride: int, befor
             src[ax] = slice(first, first + (hi - lo - 1) * stride + 1, stride)
         else:
             pairs.append((i, tuple(dst), tuple(src)))
-    return tuple(counts.get(ax, n) for ax, n in enumerate(a.shape[:-1])), pairs
+    return tuple(counts.get(ax, n) for ax, n in enumerate(shape[:-1])), tuple(pairs)
 
 
 def window(a: Tensor, axes: tuple, size: int, stride: int, before: int, after: int) -> Tensor:
@@ -661,69 +691,158 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # -- neural-net primitives ----------------------------------------------------
 
 
+def _softmax(s: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of `s` along `axis`, the max-shifted exponentials over their
+    sum, written into `out` (which may be `s`) or a new array."""
+    # a max is exact in any order; over the first axis of a copy it is one
+    # vectorized pass per entry, where numpy loops over short rows one by one
+    peak = np.expand_dims(np.moveaxis(s, axis, 0).copy().max(axis=0), axis)
+    out = np.subtract(s, peak, out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def _softmax_grad(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient at the input of a softmax with output `p` and output gradient `g`."""
+    dot = (g * p).sum(axis=axis, keepdims=True)
+    return p * (g - dot)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError("softmax", f"axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = _softmax(a.data, axis)
 
     def bwd(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        a._accumulate(out_data * (g - dot), owned=True)
+        a._accumulate(_softmax_grad(out_data, g, axis), owned=True)
 
     return Tensor._from_op(out_data, (a,), "softmax", bwd)
 
 
-def layer_norm(a: Tensor) -> Tensor:
-    """Normalize over the last axis (pre-affine), with variance epsilon 1e-5."""
-    if a.ndim < 1:
-        raise ShapeError("layer_norm", "needs at least one axis")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize over the last axis, with variance epsilon 1e-5, then scale by
+    `gamma` and shift by `beta`, both [D], as one node. Values and gradients
+    are bitwise those of the normalization followed by `add(mul(., gamma), beta)`."""
+    if not (x.dtype == gamma.dtype == beta.dtype):
+        raise DtypeError("layer_norm", f"dtype mismatch: {x.dtype}, {gamma.dtype}, {beta.dtype}")
+    if x.ndim < 1 or gamma.shape != x.shape[-1:] or beta.shape != gamma.shape:
+        raise ShapeError("layer_norm", f"cannot apply gamma {gamma.shape} and beta {beta.shape} to {x.shape}")
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
-    out_data = (xc * inv).astype(a.dtype, copy=False)
+    xhat *= inv
+    out_data = xhat * gamma.data
+    out_data += beta.data
 
     def bwd(g):
-        gx = inv * (g - g.mean(axis=-1, keepdims=True) - out_data * (g * out_data).mean(axis=-1, keepdims=True))
-        a._accumulate(gx.astype(a.dtype, copy=False), owned=True)
+        if beta.requires_grad:
+            beta._accumulate(_unbroadcast(g, beta.shape))
+        if gamma.requires_grad:
+            gamma._accumulate(_unbroadcast(g * xhat, gamma.shape), owned=True)
+        if x.requires_grad:
+            # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * gamma
+            gh = g * gamma.data
+            centre = gh.mean(axis=-1, keepdims=True)
+            t = gh * xhat
+            t = xhat * t.mean(axis=-1, keepdims=True)
+            gh -= centre
+            gh -= t
+            gh *= inv
+            x._accumulate(gh, owned=True)
 
-    return Tensor._from_op(out_data, (a,), "layer_norm", bwd)
+    return Tensor._from_op(out_data, (x, gamma, beta), "layer_norm", bwd)
 
 
 _MASK_CACHE: dict = {}
 
 
 def causal_bias(n: int, dtype) -> np.ndarray:
-    """Additive [n, n] bias: 0 on/below the diagonal, a large negative above."""
+    """Additive [n, n] bias: 0 on/below the diagonal, a large negative above.
+    The array is cached and shared, so it is read-only."""
     key = (n, np.dtype(dtype).str)
     if key not in _MASK_CACHE:
         m = np.zeros((n, n), dtype=dtype)
         m[np.triu_indices(n, k=1)] = -1e30
+        m.flags.writeable = False
         _MASK_CACHE[key] = m
     return _MASK_CACHE[key]
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, *, causal: bool = False, bias: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention over the last two axes.
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, *, causal: bool = False,
+              bias: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
 
-    q: [..., Lq, dh], k: [..., Lk, dh], v: [..., Lk, dv]. `bias` is an additive
-    mask broadcastable to [..., Lq, Lk]; `causal` adds the triangular bias.
+    q: [..., Lq, heads * dh], k: [..., Lk, heads * dh], v: [..., Lk, heads * dv],
+    with the same leading axes. Head i of each projection is its channels
+    i * d up to (i + 1) * d. Each head's scores q k^T / sqrt(dh) get the
+    additive `bias`, broadcastable to [..., Lq, Lk] and shared by the heads,
+    and, with `causal`, the triangular bias; the heads' softmax-weighted sums
+    of v are merged back to [..., Lq, heads * dv]. Values and gradients are
+    bitwise those of the composition that splits the heads with reshape and
+    swap_axes, runs matmul, mul, add, softmax and matmul, and merges them.
     """
+    if not (q.dtype == k.dtype == v.dtype):
+        raise DtypeError("attention", f"dtype mismatch: {q.dtype}, {k.dtype}, {v.dtype}")
+    if q.ndim < 2 or not (q.shape[:-2] == k.shape[:-2] == v.shape[:-2]):
+        raise ShapeError("attention", f"q, k and v need equal leading axes: {q.shape}, {k.shape}, {v.shape}")
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError("attention", f"q/k feature dims differ: {q.shape} vs {k.shape}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError("attention", f"k/v lengths differ: {k.shape} vs {v.shape}")
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = mul(matmul(q, swap_axes(k, -1, -2)), scale)
-    if causal:
-        if q.shape[-2] != k.shape[-2]:
-            raise ShapeError("attention", "causal mask needs Lq == Lk")
-        scores = add(scores, Tensor(causal_bias(q.shape[-2], q.dtype)))
+    if heads < 1 or q.shape[-1] % heads or v.shape[-1] % heads:
+        raise ShapeError("attention", f"{heads} heads do not split q {q.shape} and v {v.shape}")
+    lq, lk = q.shape[-2], k.shape[-2]
+    if causal and lq != lk:
+        raise ShapeError("attention", "causal mask needs Lq == Lk")
     if bias is not None:
-        scores = add(scores, Tensor(np.asarray(bias, dtype=q.dtype)))
-    return matmul(softmax(scores, axis=-1), v)
+        bias = np.asarray(bias, dtype=q.dtype)
+        scores_shape = (*q.shape[:-2], lq, lk)
+        try:
+            fits = bias.ndim <= len(scores_shape) and np.broadcast_shapes(bias.shape, scores_shape) == scores_shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ShapeError("attention", f"bias {bias.shape} does not broadcast to {scores_shape}")
+        if bias.ndim > 2:
+            bias = np.expand_dims(bias, -3)  # shared by the heads
+
+    def split(a: np.ndarray) -> np.ndarray:
+        """[..., L, heads * d] -> a [..., heads, L, d] view"""
+        return a.reshape(*a.shape[:-1], heads, a.shape[-1] // heads).swapaxes(-2, -3)
+
+    def merge(a: np.ndarray) -> np.ndarray:
+        """[..., heads, L, d] -> [..., L, heads * d]: a view where the memory
+        order of `a` allows one, as the composition's reshape gave, else a copy"""
+        return a.swapaxes(-2, -3).reshape(*a.shape[:-3], a.shape[-2], heads * a.shape[-1])
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = np.asarray(1.0 / math.sqrt(qh.shape[-1]), dtype=q.dtype)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2))
+    scores *= scale
+    if causal:
+        scores += causal_bias(lq, q.dtype)
+    if bias is not None:
+        scores += bias
+    p = _softmax(scores, -1, out=scores)
+    out_data = merge(np.matmul(p, vh))
+
+    def bwd(g):
+        g_heads = split(g)
+        if q.requires_grad or k.requires_grad:
+            g_scores = _softmax_grad(p, np.matmul(g_heads, vh.swapaxes(-1, -2)), -1)
+            g_scores *= scale
+            if q.requires_grad:
+                q._accumulate(merge(np.matmul(g_scores, kh)), owned=True)
+            if k.requires_grad:
+                # the transpose of q^T g, laid out as it is in memory, as the
+                # composition gave it: k's producer sums its gradient in that order
+                k._accumulate(merge(np.matmul(qh.swapaxes(-1, -2), g_scores).swapaxes(-1, -2)), owned=True)
+        if v.requires_grad:
+            v._accumulate(merge(np.matmul(p.swapaxes(-1, -2), g_heads)), owned=True)
+
+    return Tensor._from_op(out_data, (q, k, v), "attention", bwd)
 
 
 def l2_normalize(a: Tensor) -> Tensor:

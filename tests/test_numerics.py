@@ -38,7 +38,7 @@ def test_layer_norm_constant_vector_matches_scalar_oracle():
     mean = sum(x) / len(x)
     var = sum((v - mean) ** 2 for v in x) / len(x)
     expected = [(v - mean) / math.sqrt(var + eps) for v in x]
-    out = nx.layer_norm(t64(x))
+    out = nx.layer_norm(t64(x), t64(np.ones(8)), t64(np.zeros(8)))
     assert np.allclose(out.numpy(), expected, atol=1e-12)
     assert np.allclose(out.numpy(), 0.0)
 
@@ -65,6 +65,10 @@ def test_gelu_matches_plain_expression_bitwise(shape, dtype):
         nx.sum_(nx.mul(out, nx.Tensor(gd))).backward()
         assert np.asarray(out.numpy()).tobytes() == np.asarray(want_out).tobytes()
         assert a.grad.tobytes() == np.asarray(want_grad).tobytes()
+        with nx.no_grad():  # no graph: every step in the one output buffer
+            plain = nx.gelu(nx.Parameter(data))
+        assert not plain.requires_grad and plain._backward_fn is None
+        assert plain.numpy().tobytes() == np.asarray(want_out).tobytes()
 
 
 def test_shape_errors_name_the_primitive():
@@ -376,10 +380,22 @@ PRIMITIVE_CASES = {
     "sum": lambda p, rng: nx.sum_(p, axis=0),
     "mean": lambda p, rng: nx.mean(p, axis=1),
     "softmax": lambda p, rng: nx.softmax(p, axis=-1),
-    "layer_norm": lambda p, rng: nx.layer_norm(p),
+    "layer_norm": lambda p, rng: nx.layer_norm(p, t64(np.ones(5)), t64(np.zeros(5))),
     "l2_normalize": lambda p, rng: nx.l2_normalize(p),
+    "layer_norm_affine": lambda p, rng: nx.layer_norm(p, t64(rng.standard_normal(5)), t64(rng.standard_normal(5))),
+    "layer_norm_gamma": lambda p, rng: nx.layer_norm(t64(rng.standard_normal((3, 20))), nx.reshape(p, (20,)),
+                                                     t64(rng.standard_normal(20))),
+    "layer_norm_beta": lambda p, rng: nx.layer_norm(t64(rng.standard_normal((3, 20))), t64(rng.standard_normal(20)),
+                                                    nx.reshape(p, (20,))),
     "attention": lambda p, rng: nx.attention(p, t64(rng.standard_normal(p.shape)),
-                                             t64(rng.standard_normal(p.shape)), causal=True),
+                                             t64(rng.standard_normal(p.shape)), 1, causal=True),
+    # q, k and v all read p, so the check covers each of their gradients
+    "attention_2heads": lambda p, rng: nx.attention(
+        nx.reshape(p, (5, 4)), nx.mul(nx.reshape(p, (5, 4)), t64(rng.standard_normal((5, 4)))),
+        nx.add(nx.reshape(p, (5, 4)), t64(rng.standard_normal((5, 4)))), 2, causal=True),
+    "attention_2heads_cross": lambda p, rng: nx.attention(
+        nx.reshape(p, (5, 4))[:3], nx.reshape(p, (5, 4)), nx.transpose(nx.reshape(p, (2, 10)), (1, 0))[:5, :],
+        2, bias=rng.standard_normal((3, 5))),
     "cross_entropy": lambda p, rng: nx.cross_entropy(p, rng.integers(0, p.shape[1], size=p.shape[0])),
     "mse": lambda p, rng: nx.mse(p, t64(rng.standard_normal(p.shape))),
 }
@@ -400,6 +416,150 @@ def test_primitive_gradients_match_finite_differences(name):
 
         worst = max(worst, *nx.grad_check(loss_fn, [p]))
     assert worst <= 1e-6, f"{name}: worst rel err {worst:.3e}"
+
+
+# -- attention and layer_norm against the compositions they replaced --------------
+
+
+def split_heads_ref(x, heads):
+    """[..., L, d] -> [..., heads, L, d/heads]"""
+    *lead, length, d = x.shape
+    return nx.swap_axes(nx.reshape(x, (*lead, length, heads, d // heads)), -2, -3)
+
+
+def merge_heads_ref(x):
+    """[..., heads, L, dh] -> [..., L, heads*dh]"""
+    x = nx.swap_axes(x, -2, -3)
+    *lead, length, h, dh = x.shape
+    return nx.reshape(x, (*lead, length, h * dh))
+
+
+def attention_ref(q, k, v, heads, causal=False, bias=None):
+    """Split, matmul, mul, add, softmax, matmul and merge ops, one node each."""
+    qh, kh, vh = (split_heads_ref(t, heads) for t in (q, k, v))
+    scores = nx.mul(nx.matmul(qh, nx.swap_axes(kh, -1, -2)), 1.0 / math.sqrt(qh.shape[-1]))
+    if causal:
+        scores = nx.add(scores, nx.Tensor(nx.causal_bias(q.shape[-2], q.dtype)))
+    if bias is not None:
+        bias = np.asarray(bias, dtype=q.dtype)
+        scores = nx.add(scores, nx.Tensor(np.expand_dims(bias, -3) if bias.ndim > 2 else bias))
+    return merge_heads_ref(nx.matmul(nx.softmax(scores, axis=-1), vh))
+
+
+def layout(a: np.ndarray) -> tuple:
+    """The strides of the axes longer than 1: the order in which a consumer
+    reads the array, which decides how its sums round."""
+    return tuple(s for s, n in zip(a.strides, a.shape) if n > 1)
+
+
+def results_and_grads(fn, inputs, g):
+    """fn's output and each input's gradient for the loss sum(out * g), as
+    bytes, with each gradient's layout."""
+    leaves = [nx.Tensor(x, requires_grad=True) for x in inputs]
+    out = fn(*leaves)
+    nx.sum_(nx.mul(out, nx.Tensor(g))).backward()
+    return [out.numpy().tobytes()] + [(t.grad.tobytes(), layout(t.grad)) for t in leaves]
+
+
+@st.composite
+def attention_calls(draw):
+    """(lead axes, heads, dh, dv, Lq, Lk, causal, bias rank or None, shared):
+    with `shared`, q, k and v are products of one input, so the order in
+    which their gradients reach it shows."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    heads = draw(st.sampled_from([1, 2, 4]))
+    shared = draw(st.booleans())
+    dh = draw(st.integers(1, 4))
+    dv = dh if shared else draw(st.integers(1, 4))
+    causal = draw(st.booleans())
+    lq = draw(st.integers(1, 5))
+    lk = lq if causal or shared else draw(st.integers(1, 5))
+    bias_rank = draw(st.sampled_from([None, 2, 3] if lead else [None, 2]))
+    return lead, heads, dh, dv, lq, lk, causal, bias_rank, shared
+
+
+@settings(max_examples=300, deadline=None)
+@given(attention_calls(), st.integers(0, 2**32 - 1))
+@example(((2,), 2, 3, 2, 3, 5, False, 3, False), 0)  # cross-attention shape: Lq != Lk, per-batch bias
+@example(((2, 3), 4, 2, 2, 4, 4, True, 2, True), 1)  # two lead axes, causal, a shared bias and input
+def test_attention_matches_composition_bitwise(call, seed):
+    lead, heads, dh, dv, lq, lk, causal, bias_rank, shared = call
+    rng = np.random.default_rng(seed)
+    q = (rng.standard_normal((*lead, lq, heads * dh)) * 2).astype(np.float32)
+    k = (rng.standard_normal((*lead, lk, heads * dh)) * 2).astype(np.float32)
+    v = rng.standard_normal((*lead, lk, heads * dv)).astype(np.float32)
+    g = rng.standard_normal((*lead, lq, heads * dv)).astype(np.float32)
+    bias = None
+    if bias_rank is not None:
+        bias = rng.standard_normal((*lead[-1:], lq, lk)[-bias_rank:]).astype(np.float32)
+        bias[rng.random(bias.shape) < 0.3] = -1e30  # masked keys
+
+    inputs = (q,) if shared else (q, k, v)
+
+    def projections(*leaves):
+        if not shared:
+            return leaves
+        return tuple(nx.mul(leaves[0], nx.Tensor(c)) for c in (q, k, v))
+
+    want = results_and_grads(lambda *t: attention_ref(*projections(*t), heads, causal, bias), inputs, g)
+    got = results_and_grads(lambda *t: nx.attention(*projections(*t), heads, causal=causal, bias=bias), inputs, g)
+    assert got == want
+
+
+def normalize_ref(a):
+    """The pre-affine normalization node that layer_norm's affine form replaced."""
+    mu = a.data.mean(axis=-1, keepdims=True)
+    xc = a.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    out_data = (xc * inv).astype(a.dtype, copy=False)
+
+    def bwd(g):
+        gx = inv * (g - g.mean(axis=-1, keepdims=True) - out_data * (g * out_data).mean(axis=-1, keepdims=True))
+        a._accumulate(gx.astype(a.dtype, copy=False), owned=True)
+
+    return tz.Tensor._from_op(out_data, (a,), "layer_norm", bwd)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 3), max_size=2), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_layer_norm_matches_composition_bitwise(lead, d, seed):
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal((*lead, d)) * 3).astype(np.float32)
+    gamma, beta = (rng.standard_normal(d).astype(np.float32) for _ in range(2))
+    g = rng.standard_normal((*lead, d)).astype(np.float32)
+
+    def composed(x, gamma, beta):
+        return nx.add(nx.mul(normalize_ref(x), gamma), beta)
+
+    assert results_and_grads(nx.layer_norm, (x, gamma, beta), g) == results_and_grads(composed, (x, gamma, beta), g)
+
+
+def test_attention_and_layer_norm_errors_name_the_op():
+    q = nx.Tensor(np.zeros((2, 3, 4), np.float32))
+    bad_attention = [
+        (nx.DtypeError, lambda: nx.attention(q, q, nx.Tensor(np.zeros((2, 3, 4))), 2)),
+        (nx.ShapeError, lambda: nx.attention(q, q, q[:1], 2)),  # leading axes differ
+        (nx.ShapeError, lambda: nx.attention(q, q[:, :, :2], q, 2)),  # q/k widths differ
+        (nx.ShapeError, lambda: nx.attention(q, q, q[:, :2], 2)),  # k/v lengths differ
+        (nx.ShapeError, lambda: nx.attention(q, q, q, 3)),  # 3 heads do not split 4 channels
+        (nx.ShapeError, lambda: nx.attention(q, q, q, 0)),
+        (nx.ShapeError, lambda: nx.attention(q[:, :2], q, q, 2, causal=True)),
+        (nx.ShapeError, lambda: nx.attention(q, q, q, 2, bias=np.zeros((3, 2)))),
+        (nx.ShapeError, lambda: nx.attention(q, q, q, 2, bias=np.zeros((5, 2, 3, 3)))),  # would widen the output
+    ]
+    for error, call in bad_attention:
+        with pytest.raises(error) as err:
+            call()
+        assert err.value.op == "attention"
+    ones = nx.Tensor(np.ones(4, np.float32))
+    for error, args in [(nx.DtypeError, (q, ones, nx.Tensor(np.zeros(4)))),
+                        (nx.ShapeError, (q, ones[:3], ones[:3])),
+                        (nx.ShapeError, (q, ones, nx.Tensor(np.zeros((1, 4), np.float32)))),
+                        (nx.ShapeError, (nx.Tensor(np.zeros((), np.float32)), ones[:1], ones[:1]))]:
+        with pytest.raises(error) as err:
+            nx.layer_norm(*args)
+        assert err.value.op == "layer_norm"
 
 
 # -- window against the pad/slice/take/concat compositions it replaced -------------
@@ -558,6 +718,32 @@ def test_window_linear_matches_linear_of_window(call, n, dtype, seed):
     for name, got_v, want_v, scale_v in zip(("out", "a", "w", "b"), got, want, scale):
         assert got_v.dtype == dtype and got_v.shape == want_v.shape, name
         assert (np.abs(got_v - want_v) <= WINDOW_LINEAR_TOL[dtype] * scale_v).all(), name
+
+
+def test_window_table_cache_hit_equals_an_uncached_build():
+    a = nx.Tensor(np.zeros((5, 4, 3, 2), np.float32))
+    args = ((2, 0), 3, 2, 2, 1)
+    nx.window(a, *args)
+    hits = tz._window_table.cache_info().hits
+    table = tz._window_pairs("window_linear", a, *args)
+    assert tz._window_table.cache_info().hits == hits + 1
+    assert table == tz._window_table.__wrapped__(a.shape, *args)
+
+
+def test_window_checks_run_when_the_table_cache_is_warm():
+    a = nx.Tensor(np.zeros((4, 3, 2), np.float32))
+    w, b = nx.Tensor(np.zeros((6, 5), np.float32)), nx.Tensor(np.zeros(5, np.float32))
+    nx.window(a, (1,), 3, 1, 1, 1)
+    nx.window_linear(a, w, b, (1,), 3, 1, 1, 1)
+    for bad in [((1,), 3, 1, -1, 1), ((1,), 6, 1, 1, 1)]:
+        tz._window_table(a.shape, *bad)  # the cache even holds a table for these
+    for bad in [((2,), 3, 1, 1, 1), ((1,), 3, 0, 1, 1), ((1,), 3, 1, -1, 1), ((1,), 6, 1, 1, 1)]:
+        with pytest.raises(nx.ShapeError) as err:
+            nx.window(a, *bad)
+        assert err.value.op == "window"
+        with pytest.raises(nx.ShapeError) as err:
+            nx.window_linear(a, nx.Tensor(np.zeros((bad[1] * 2, 5), np.float32)), b, *bad)
+        assert err.value.op == "window_linear"
 
 
 def test_window_linear_matches_finite_differences():
@@ -842,6 +1028,44 @@ def test_grad_check_cross_attention_block():
         p.data[...] = orig
 
 
+def test_block_rejects_cond_it_cannot_use():
+    rng = np.random.default_rng(15)
+    x = nx.Tensor(rng.standard_normal((2, 5, 8)).astype(np.float32))
+    cond = nx.Tensor(rng.standard_normal((2, 4, 6)).astype(np.float32))
+    with pytest.raises(nx.ShapeError) as err:
+        nx.TransformerBlock(8, 2, rng)(x, cond=cond)  # built without cross_dim
+    assert err.value.op == "cross_attention"
+    with pytest.raises(nx.ShapeError) as err:
+        nx.TransformerBlock(8, 2, rng, cross_dim=6)(x, cond_bias=np.zeros((2, 5, 4), np.float32))
+    assert err.value.op == "cross_attention"
+
+
+def count_nodes(monkeypatch, fn) -> int:
+    """Graph nodes made while `fn` runs."""
+    made = []
+    from_op = tz.Tensor._from_op
+
+    def counted(*args):
+        made.append(args[2])
+        return from_op(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(tz.Tensor, "_from_op", staticmethod(counted))
+        fn()
+    return len(made)
+
+
+def test_block_forward_node_counts(monkeypatch):
+    # attention and layer_norm are one node each; more nodes mean the head
+    # split/merge or the norm's affine ops are back as ops of their own
+    rng = np.random.default_rng(16)
+    block = nx.TransformerBlock(8, 2, rng)
+    x = nx.Tensor(rng.standard_normal((2, 5, 8)).astype(np.float32))
+    assert count_nodes(monkeypatch, lambda: block(x)) == 12
+    block, x, cond, bias = cross_block(np.float32)
+    assert count_nodes(monkeypatch, lambda: block(x, cond=nx.Tensor(cond), cond_bias=bias)) == 19
+
+
 @pytest.mark.parametrize("shapes", [[(3, 2), (3, 2)], [(3, 2), (4,)]], ids=["same_shape", "other_shape"])
 def test_grad_check_keeps_same_named_parameters_apart(shapes):
     rng = np.random.default_rng(14)
@@ -905,3 +1129,12 @@ def test_no_grad_disables_recording():
 def test_causal_bias_blocks_future():
     b = nx.causal_bias(4, np.float32)
     assert b[0, 1] < -1e29 and b[1, 0] == 0.0 and b[2, 2] == 0.0
+
+
+def test_cached_causal_bias_is_read_only():
+    rng = np.random.default_rng(17)
+    q, k, v = (nx.Tensor(rng.standard_normal((3, 4)).astype(np.float32)) for _ in range(3))
+    before = nx.attention(q, k, v, 2, causal=True).numpy()
+    with pytest.raises(ValueError):
+        nx.causal_bias(3, np.float32)[0, 1] = 0.0
+    assert nx.attention(q, k, v, 2, causal=True).numpy().tobytes() == before.tobytes()
