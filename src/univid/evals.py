@@ -49,14 +49,14 @@ class AttributeProbe:
             out[attr] = names[int(np.argmax(f @ w + b))]
         return out
 
-    def accuracy(self, videos: list[np.ndarray], specs: list[sd.SceneSpec],
-                 attrs: tuple[str, ...] = ("shape", "color", "motion")) -> dict:
-        hits = {a: 0 for a in attrs}
+    def accuracy(self, videos: list[np.ndarray], specs: list[sd.SceneSpec]) -> dict:
+        """Per attribute of PROBE_ATTRS, the fraction of `videos` that `classify` gets right against `specs`."""
+        hits = dict.fromkeys(PROBE_ATTRS, 0)
         for video, spec in zip(videos, specs, strict=True):
             pred = self.classify(video)
-            for a in attrs:
+            for a in PROBE_ATTRS:
                 hits[a] += int(pred[a] == getattr(spec, a))
-        return {a: hits[a] / max(1, len(videos)) for a in attrs}
+        return {a: hits[a] / max(1, len(videos)) for a in PROBE_ATTRS}
 
 
 def _fit_softmax(x: np.ndarray, y: np.ndarray, classes: int, *, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -69,12 +69,11 @@ def _fit_softmax(x: np.ndarray, y: np.ndarray, classes: int, *, steps: int) -> t
     return w.data.copy(), b.data.copy()
 
 
-def train_probe(encoder: pc.FrameEncoder, *, n_train: int = 600, frames: int = 8,
-                steps: int = 300) -> AttributeProbe:
-    """Fit one softmax classifier per attribute on `n_train` renders of a fixed seed."""
+def train_probe(encoder: pc.FrameEncoder, *, n_train: int = 600, steps: int = 300) -> AttributeProbe:
+    """Fit one softmax classifier per attribute on `n_train` 8-frame renders of a fixed seed."""
     rng = np.random.default_rng(515)
     specs = [sd.random_spec(rng) for _ in range(n_train)]
-    feats = np.stack([probe_features(encoder, sd.render(s, frames)) for s in specs])
+    feats = np.stack([probe_features(encoder, sd.render(s, 8)) for s in specs])
     probe = AttributeProbe(encoder=encoder)
     for attr, names in PROBE_ATTRS.items():
         targets = np.array([names.index(getattr(s, attr)) for s in specs])
@@ -82,32 +81,8 @@ def train_probe(encoder: pc.FrameEncoder, *, n_train: int = 600, frames: int = 8
     return probe
 
 
-def probe_accuracy_on_renders(probe: AttributeProbe, *, n: int = 200, frames: int = 8,
-                              seed: int = 616, attrs=("shape", "color", "motion", "background")) -> dict:
-    rng = np.random.default_rng(seed)
-    specs = [sd.random_spec(rng) for _ in range(n)]
-    videos = [sd.render(s, frames) for s in specs]
-    return probe.accuracy(videos, specs, attrs=attrs)
-
-
-def linear_probe_shape_accuracy(encoder: pc.FrameEncoder, *, n_train: int = 400,
-                                n_test: int = 200, steps: int = 300) -> float:
-    """Single-frame shape probe used as the encoder pretraining gate."""
-    rng = np.random.default_rng(717)
-
-    def batch(n):
-        specs = [sd.random_spec(rng) for _ in range(n)]
-        feats = []
-        for s in specs:
-            t = int(rng.integers(0, 8))
-            frame = sd.render_frame(s, t)
-            with nx.no_grad():
-                feats.append(encoder.embed_frames(frame[None]).numpy()[0])
-        y = np.array([sd.SHAPES.index(s.shape) for s in specs])
-        return np.stack(feats), y
-
-    xtr, ytr = batch(n_train)
-    xte, yte = batch(n_test)
-    w, b = _fit_softmax(xtr, ytr, len(sd.SHAPES), steps=steps)
-    pred = np.argmax(xte @ w + b, axis=1)
-    return float((pred == yte).mean())
+def probe_accuracy_on_renders(probe: AttributeProbe) -> dict:
+    """`probe.accuracy` on 200 8-frame renders of a fixed seed."""
+    rng = np.random.default_rng(616)
+    specs = [sd.random_spec(rng) for _ in range(200)]
+    return probe.accuracy([sd.render(s, 8) for s in specs], specs)

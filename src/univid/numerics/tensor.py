@@ -432,14 +432,6 @@ def transpose(a: Tensor, axes: tuple) -> Tensor:
     return Tensor._from_op(out_data, (a,), "transpose", bwd)
 
 
-def swap_axes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    if not (-a.ndim <= ax1 < a.ndim and -a.ndim <= ax2 < a.ndim):
-        raise ShapeError("swap_axes", f"axes ({ax1}, {ax2}) invalid for ndim {a.ndim}")
-    axes = list(range(a.ndim))
-    axes[ax1], axes[ax2] = axes[ax2], axes[ax1]
-    return transpose(a, tuple(axes))
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concat", "empty tensor list")
@@ -656,7 +648,7 @@ def add_rows(base: Tensor, indices: np.ndarray, rows: Tensor) -> Tensor:
 
 
 def _axes(op: str, a: Tensor, axis) -> tuple:
-    """`axis` (None, an int or a tuple of ints) as the distinct non-negative axes of `a`."""
+    """`axis` (None, an int, or a tuple or list of ints) as the distinct non-negative axes of `a`."""
     if axis is None:
         return tuple(range(a.ndim))
     try:
@@ -666,15 +658,15 @@ def _axes(op: str, a: Tensor, axis) -> tuple:
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    _axes("sum", a, axis)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    axes = None if axis is None else _axes("sum", a, axis)
+    out_data = a.data.sum(axis=axes, keepdims=keepdims)
     if np.isscalar(out_data) or out_data.ndim == 0:
         out_data = np.asarray(out_data, dtype=a.dtype)
 
     def bwd(g):
         gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(g, axis)
+        if axes is not None and not keepdims:
+            gg = np.expand_dims(g, axes)
         # a C-order copy: `_accumulate` would keep the view's memory order,
         # which is not C when a middle axis is broadcast, and later matmuls
         # on that gradient would round differently
@@ -781,7 +773,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, *, causal: bool = Fal
     and, with `causal`, the triangular bias; the heads' softmax-weighted sums
     of v are merged back to [..., Lq, heads * dv]. Values and gradients are
     bitwise those of the composition that splits the heads with reshape and
-    swap_axes, runs matmul, mul, add, softmax and matmul, and merges them.
+    transpose, runs matmul, mul, add, softmax and matmul, and merges them.
     """
     if not (q.dtype == k.dtype == v.dtype):
         raise DtypeError("attention", f"dtype mismatch: {q.dtype}, {k.dtype}, {v.dtype}")

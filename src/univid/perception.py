@@ -39,11 +39,12 @@ LATENT_SIZE = FRAME_SIZE // SPATIAL_PATCH
 _CONTEXT_3X3 = ((2, 3), 3, 1, 1, 1)
 
 
-def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """Peak signal-to-noise ratio in dB of frames in [0, 1]."""
     m = float(np.mean((np.asarray(a, np.float64) - np.asarray(b, np.float64)) ** 2))
     if m == 0:
         return float("inf")
-    return 10.0 * np.log10(peak * peak / m)
+    return 10.0 * np.log10(1.0 / m)
 
 
 def _as_frames(x: np.ndarray, lead: tuple[str, ...], op: str) -> np.ndarray:
@@ -117,7 +118,7 @@ def contrastive_loss(encoder: FrameEncoder, frames_a: np.ndarray, frames_b: np.n
     """NT-Xent at temperature 0.15 over two views per scene."""
     b = frames_a.shape[0]
     z = encoder.embed_frames(np.concatenate([frames_a, frames_b], axis=0))
-    sim = nx.mul(nx.matmul(z, nx.swap_axes(z, 0, 1)), 1.0 / 0.15)
+    sim = nx.mul(nx.matmul(z, nx.transpose(z, (1, 0))), 1.0 / 0.15)
     self_mask = np.full((2 * b, 2 * b), 0.0, dtype=np.float32)
     np.fill_diagonal(self_mask, -1e30)
     sim = nx.add(sim, Tensor(self_mask))

@@ -141,7 +141,7 @@ def decode_text(ids: Iterable[int]) -> str:
 def pack_parts(parts: list) -> MultimodalSequence:
     """Build a sequence from interleaved parts.
 
-    Each part is ("text", list-of-ids) or (kind, embeddings) with kind in
+    Each part is ("text", integer ids) or (kind, embeddings) with kind in
     {"image", "video"}. Blocks are wrapped in their opener/closer tokens.
     """
     ids: list[int] = []
@@ -149,8 +149,9 @@ def pack_parts(parts: list) -> MultimodalSequence:
     for tag, payload in parts:
         if tag == "text":
             for i in payload:
-                if not 0 <= int(i) < VOCAB or int(i) in _OPENERS or int(i) in _CLOSERS:
-                    raise PackError(f"id {i} is not packable as plain text")
+                if (isinstance(i, bool) or not isinstance(i, (int, np.integer))
+                        or not 0 <= i < VOCAB or i in _OPENERS or i in _CLOSERS):
+                    raise PackError(f"id {i!r} is not packable as plain text")
                 ids.append(int(i))
         elif tag in _SPAN_LENGTHS:
             emb = np.asarray(payload, dtype=np.float32)

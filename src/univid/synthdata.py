@@ -322,9 +322,10 @@ class Sample:
                 raise SynthError("edit pair differs inside the preserved region")
 
 
-def build_sample(kind: str, rng: np.random.Generator, frames: int = 8) -> Sample:
+def build_sample(kind: str, rng: np.random.Generator) -> Sample:
+    """A random sample of task `kind`: one frame for the image tasks, eight for the video tasks."""
     spec = random_spec(rng)
-    n = 1 if kind.startswith("image") or kind == "text_to_image" else frames
+    n = 1 if kind.startswith("image") or kind == "text_to_image" else 8
     if kind in ("image_understanding", "video_understanding"):
         question, answer = make_qa(spec, QUESTIONS[rng.integers(len(QUESTIONS))])
         return Sample(kind=kind, spec=spec, question=question, answer=answer,
@@ -337,14 +338,11 @@ def build_sample(kind: str, rng: np.random.Generator, frames: int = 8) -> Sample
     raise SynthError(f"unknown task kind {kind}")
 
 
-def sample_mixture(n: int, ratios=TASK_RATIOS, *, rng: np.random.Generator,
-                   frames: int = 8) -> list[Sample]:
-    ratios = np.asarray(ratios, dtype=np.float64)
-    if ratios.shape != (len(TASKS),) or abs(ratios.sum() - 100.0) > 0.01 or (ratios < 0).any():
-        raise SynthError(f"ratios must be {len(TASKS)} non-negative percentages summing to 100, got {ratios}")
-    probs = ratios / ratios.sum()
-    kinds = rng.choice(len(TASKS), size=n, p=probs)
-    return [build_sample(TASKS[k], rng, frames=frames) for k in kinds]
+def sample_mixture(n: int, *, rng: np.random.Generator) -> list[Sample]:
+    """`n` samples whose tasks are drawn at TASK_RATIOS."""
+    ratios = np.asarray(TASK_RATIOS, dtype=np.float64)
+    kinds = rng.choice(len(TASKS), size=n, p=ratios / ratios.sum())
+    return [build_sample(TASKS[k], rng) for k in kinds]
 
 
 # -- shards -----------------------------------------------------------------------

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tensor as T
-from .module import Parameter
+from univid import numerics as nx
 
 
-def grad_check(loss_fn, params: list[Parameter]) -> list[float]:
+def grad_check(loss_fn, params: list[nx.Parameter]) -> list[float]:
     """Compare autodiff gradients of `loss_fn()` with central differences of
     step 1e-5 at every coordinate; returns each parameter's relative error, in
     `params` order.
@@ -30,7 +29,7 @@ def grad_check(loss_fn, params: list[Parameter]) -> list[float]:
     loss_fn().backward()
 
     errors = []
-    with T.no_grad():
+    with nx.no_grad():
         for p in params:
             flat = p.data.reshape(-1)
             num = np.zeros(flat.size, dtype=np.float64)

@@ -39,7 +39,7 @@ def shard_bytes(samples: list) -> bytes:
 @functools.cache
 def valid_shard() -> bytes:
     rng = np.random.default_rng(4)
-    return shard_bytes([sd.build_sample(kind, rng, frames=2) for kind in sd.TASKS])
+    return shard_bytes([sd.build_sample(kind, rng) for kind in sd.TASKS])
 
 
 @functools.cache

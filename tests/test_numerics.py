@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from gradcheck import grad_check
 from univid import numerics as nx
 from univid.numerics import tensor as tz
 
@@ -91,8 +92,8 @@ def test_shape_errors_name_the_primitive():
         nx.add_rows(t, np.array([0]), nx.Tensor(np.zeros((1, 5), dtype=np.float32)))
     with pytest.raises(nx.ShapeError, match="window"):
         nx.window(t, (0,), 2, 0, 0, 0)
-    with pytest.raises(nx.ShapeError, match="swap_axes"):
-        nx.swap_axes(t, 2, 0)
+    with pytest.raises(nx.ShapeError, match="transpose"):
+        nx.transpose(t, (2, 0))
 
 
 def test_an_int_on_every_axis_slices_a_0d_array():
@@ -107,13 +108,14 @@ def test_an_int_on_every_axis_slices_a_0d_array():
 
 INDEX = st.integers(-6, 6) | st.builds(slice, st.none() | st.integers(-6, 6), st.none() | st.integers(-6, 6),
                                         st.none() | st.integers(-3, 3))
-AXIS = st.none() | st.integers(-4, 4) | st.lists(st.integers(-4, 4), max_size=2).map(tuple)
+AXES = st.lists(st.integers(-4, 4), max_size=2)
+AXIS = st.none() | st.integers(-4, 4) | AXES.map(tuple) | AXES
 
 
 @st.composite
 def shape_op_calls(draw):
     """(op name, function of a [*shape] parameter) with drawn arguments, valid or not."""
-    op = draw(st.sampled_from(["slice", "sum", "mean", "add_rows", "window", "swap_axes", "take"]))
+    op = draw(st.sampled_from(["slice", "sum", "mean", "add_rows", "window", "transpose", "take"]))
     if op == "slice":
         key = draw(INDEX | st.lists(INDEX, max_size=4).map(tuple))
         return op, lambda p: p[key]
@@ -127,9 +129,9 @@ def shape_op_calls(draw):
         lead = draw(st.sampled_from([len(idx), len(idx) + 1]))
         tail = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))
         return op, lambda p: nx.add_rows(p, idx, nx.Parameter(np.ones((lead, *(tail or p.shape[1:])), dtype)))
-    if op == "swap_axes":
-        ax1, ax2 = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
-        return op, lambda p: nx.swap_axes(p, ax1, ax2)
+    if op == "transpose":
+        axes = tuple(draw(st.lists(st.integers(-1, 3), max_size=3, unique=True)))
+        return op, lambda p: nx.transpose(p, axes)
     if op == "take":
         idx = np.array(draw(st.lists(st.integers(-2, 6), max_size=4)), dtype=draw(st.sampled_from([np.int64, np.float32])))
         return op, lambda p: nx.take(p, idx)
@@ -317,7 +319,7 @@ def test_linear_matches_finite_differences():
     rng = np.random.default_rng(8)
     x, w, b = (nx.Parameter(rng.standard_normal(shape)) for shape in ((2, 3, 5), (5, 4), (4,)))
     y = t64(rng.standard_normal((2, 3, 4)))
-    errs = nx.grad_check(lambda: nx.mse(nx.linear(x, w, b), y), [x, w, b])
+    errs = grad_check(lambda: nx.mse(nx.linear(x, w, b), y), [x, w, b])
     assert max(errs) <= 1e-6, errs
 
 
@@ -353,7 +355,7 @@ def test_three_layer_mlp_matches_finite_differences():
             h = nx.gelu(m(h))
         return nx.mse(layers[-1](h), y)
 
-    errs = nx.grad_check(loss_fn, params)
+    errs = grad_check(loss_fn, params)
     assert max(errs) <= 1e-6, dict(zip([p.name for p in params], errs))
 
 
@@ -379,6 +381,7 @@ PRIMITIVE_CASES = {
     "add_rows": lambda p, rng: nx.add_rows(p, np.array([1, 3]), t64(rng.standard_normal((2, p.shape[1])))),
     "sum": lambda p, rng: nx.sum_(p, axis=0),
     "mean": lambda p, rng: nx.mean(p, axis=1),
+    "mean_list_axis": lambda p, rng: nx.mean(p, axis=[0, -1], keepdims=True),
     "softmax": lambda p, rng: nx.softmax(p, axis=-1),
     "layer_norm": lambda p, rng: nx.layer_norm(p, t64(np.ones(5)), t64(np.zeros(5))),
     "l2_normalize": lambda p, rng: nx.l2_normalize(p),
@@ -414,22 +417,29 @@ def test_primitive_gradients_match_finite_differences(name):
         def loss_fn():
             return nx.sum_(nx.mul(build(p, np.random.default_rng(3000 + seed)), w))
 
-        worst = max(worst, *nx.grad_check(loss_fn, [p]))
+        worst = max(worst, *grad_check(loss_fn, [p]))
     assert worst <= 1e-6, f"{name}: worst rel err {worst:.3e}"
 
 
 # -- attention and layer_norm against the compositions they replaced --------------
 
 
+def swap_axes_ref(x, ax1, ax2):
+    """`x` with axes `ax1` and `ax2` exchanged, as one transpose node."""
+    axes = list(range(x.ndim))
+    axes[ax1], axes[ax2] = axes[ax2], axes[ax1]
+    return nx.transpose(x, tuple(axes))
+
+
 def split_heads_ref(x, heads):
     """[..., L, d] -> [..., heads, L, d/heads]"""
     *lead, length, d = x.shape
-    return nx.swap_axes(nx.reshape(x, (*lead, length, heads, d // heads)), -2, -3)
+    return swap_axes_ref(nx.reshape(x, (*lead, length, heads, d // heads)), -2, -3)
 
 
 def merge_heads_ref(x):
     """[..., heads, L, dh] -> [..., L, heads*dh]"""
-    x = nx.swap_axes(x, -2, -3)
+    x = swap_axes_ref(x, -2, -3)
     *lead, length, h, dh = x.shape
     return nx.reshape(x, (*lead, length, h * dh))
 
@@ -437,7 +447,7 @@ def merge_heads_ref(x):
 def attention_ref(q, k, v, heads, causal=False, bias=None):
     """Split, matmul, mul, add, softmax, matmul and merge ops, one node each."""
     qh, kh, vh = (split_heads_ref(t, heads) for t in (q, k, v))
-    scores = nx.mul(nx.matmul(qh, nx.swap_axes(kh, -1, -2)), 1.0 / math.sqrt(qh.shape[-1]))
+    scores = nx.mul(nx.matmul(qh, swap_axes_ref(kh, -1, -2)), 1.0 / math.sqrt(qh.shape[-1]))
     if causal:
         scores = nx.add(scores, nx.Tensor(nx.causal_bias(q.shape[-2], q.dtype)))
     if bias is not None:
@@ -750,7 +760,7 @@ def test_window_linear_matches_finite_differences():
     rng = np.random.default_rng(9)
     a, w, b = (nx.Parameter(rng.standard_normal(shape)) for shape in ((3, 4, 2), (18, 3), (3,)))
     y = t64(rng.standard_normal((2, 3, 3)))
-    errs = nx.grad_check(lambda: nx.mse(nx.window_linear(a, w, b, (1, 0), 3, 2, 2, 1), y), [a, w, b])
+    errs = grad_check(lambda: nx.mse(nx.window_linear(a, w, b, (1, 0), 3, 2, 2, 1), y), [a, w, b])
     assert max(errs) <= 1e-6, errs
 
 
@@ -973,7 +983,7 @@ def test_grad_check_attention_block():
     def loss_fn():
         return nx.mse(block(x, causal=True), y)
 
-    errs = nx.grad_check(loss_fn, params)
+    errs = grad_check(loss_fn, params)
     assert max(errs) <= 1e-6, dict(zip([p.name for p in params], errs))
 
 
@@ -1013,7 +1023,7 @@ def test_grad_check_cross_attention_block():
     def loss_fn():
         return nx.mse(block(x, cond=t64(cond), cond_bias=bias), y)
 
-    errs = dict(zip([p.name for p in params], nx.grad_check(loss_fn, params)))
+    errs = dict(zip([p.name for p in params], grad_check(loss_fn, params)))
     # softmax is shift-invariant, so a key bias has a true gradient of exactly
     # zero and its relative error compares finite-difference noise with itself
     key_biases = [p for p in params if p.name.endswith("wk.bias")]
@@ -1077,7 +1087,7 @@ def test_grad_check_keeps_same_named_parameters_apart(shapes):
         a, b = params
         return nx.add(nx.mse(nx.mul(a, a), targets[0]), nx.mse(b, targets[1]))
 
-    assert max(nx.grad_check(loss_fn, params)) <= 1e-6
+    assert max(grad_check(loss_fn, params)) <= 1e-6
 
 
 def test_grad_check_constant_function_zero_both_sides():
@@ -1086,7 +1096,7 @@ def test_grad_check_constant_function_zero_both_sides():
     def loss_fn():
         return nx.mse(nx.mul(p, 0.0), nx.Tensor(np.zeros(4, dtype=np.float64)))
 
-    assert nx.grad_check(loss_fn, [p]) == [0.0]
+    assert grad_check(loss_fn, [p]) == [0.0]
 
 
 def test_cross_entropy_gradient_is_probs_minus_onehot_over_n():

@@ -46,6 +46,14 @@ def test_pack_wrong_dim_errors():
         sq.pack_parts([("image", np.zeros((1, 32), dtype=np.float32))])
 
 
+def test_pack_rejects_non_integer_text_ids():
+    for bad in (65.7, "66", True):
+        with pytest.raises(sq.PackError, match="not packable"):
+            sq.pack_parts([("text", [65, bad])])
+    # numpy integers are integers
+    assert sq.pack_parts([("text", np.array([65, 66]))]).ids.tolist() == [65, 66]
+
+
 @st.composite
 def valid_sequences(draw):
     """Up to five text runs, images and 8- or 12-frame videos, in any order;

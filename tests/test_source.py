@@ -1,7 +1,14 @@
-"""Source hygiene: no module under src/ imports a name it never uses; only
-`numerics` runs backward passes or builds optimizers, so every training loop
-goes through `numerics.fit`; every public function, class and method in src/
-has a caller; and each tensor op has one call form, the function."""
+"""Source hygiene: no module under src/ or tests/ imports a name it never
+uses; only `numerics` runs backward passes or builds optimizers, so every
+training loop goes through `numerics.fit`; every public function, class and
+method in src/ has a caller in program code; and each tensor op has one call
+form, the function.
+
+A caller is a name read or an attribute taken in program code, which is the
+code under src/ and perfbench/. Tests are not callers, so code that only tests
+use lives under tests/. A string never counts as a caller under src/, not even
+an op's own `_from_op` tag. Under perfbench/ an identifier spelled as a string
+counts, because `perfbench/spans.py` patches ops by name."""
 
 import ast
 import operator
@@ -11,12 +18,22 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 NUMERICS = SRC / "univid" / "numerics"
 
+# roots of the program code, and those of them whose identifier strings are callers
+PROGRAM_ROOTS = ("src", "perfbench")
+STRING_ROOTS = ("perfbench",)
+
 # public names with no caller yet, kept for the ROADMAP item that will call them
 RESERVED = {
-    "Embedding": "item 4: text tokens into the backbone",
-    "set_trainable_by_prefix": "items 4-5: freezing modules per training stage",
-    "psnr": "item 5: the edit gate inside the preserved mask",
-    "probe_accuracy_on_renders": "item 5: the probe ceiling on real renders",
+    "Embedding": "item 6: text tokens into the backbone",
+    "add_rows": "item 6: vision vectors spliced into the backbone's token rows",
+    "set_trainable_by_prefix": "item 6: freezing modules per training stage",
+    "decode_text": "item 6: the backbone's text answers",
+    "mse": "item 5: the rectified-flow velocity loss",
+    "encode_frames": "item 5: stage B's frozen-encoder clues",
+    "encode_normalized": "item 5: the decoder's normalized latent targets",
+    "denormalize_latent": "item 5: decoder latents back to the VAE's scale",
+    "psnr": "item 4: VAE reconstruction PSNR in the eval record",
+    "probe_accuracy_on_renders": "item 4: probe accuracy in the eval record",
 }
 
 
@@ -36,9 +53,9 @@ def unused_imports(tree: ast.Module) -> list[str]:
 
 def test_no_unused_imports():
     # a package __init__ imports names to re-export them
-    modules = [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"]
-    assert modules
-    found = {str(p.relative_to(SRC)): unused_imports(ast.parse(p.read_text(), str(p))) for p in modules}
+    modules = [p for root in ("src", "tests") for p in sorted((ROOT / root).rglob("*.py")) if p.name != "__init__.py"]
+    assert any(ROOT / "tests" in p.parents for p in modules)
+    found = {str(p.relative_to(ROOT)): unused_imports(ast.parse(p.read_text(), str(p))) for p in modules}
     assert not {path: names for path, names in found.items() if names}
 
 
@@ -72,31 +89,76 @@ def public_definitions(tree: ast.Module) -> list[str]:
     return found
 
 
-def referenced_names(tree: ast.Module) -> set[str]:
-    """Names read, attributes taken, and identifiers spelled as strings (names
-    patched or looked up by `getattr`). A definition's own name and an import
-    alias are neither, so re-exports do not count as use."""
+def referenced_names(tree: ast.Module, strings: bool) -> set[str]:
+    """Names read and attributes taken, and with `strings` the identifiers
+    spelled as strings (names patched or looked up by `getattr`). A
+    definition's own name and an import alias are neither, so re-exports do
+    not count as use."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
             names.add(node.value)
     return names
 
 
+def dead_names(trees: dict[str, ast.Module], reserved) -> tuple[list[str], list[str]]:
+    """Given modules by path relative to the repo root, the public definitions
+    under src/ that have no caller and are not `reserved`, and the `reserved`
+    names that have one."""
+    used = set()
+    for path, tree in trees.items():
+        root = Path(path).parts[0]
+        if root in PROGRAM_ROOTS:
+            used |= referenced_names(tree, strings=root in STRING_ROOTS)
+    reserved = set(reserved)
+    dead = [f"{path}: {name}" for path, tree in trees.items() if Path(path).parts[0] == "src"
+            for name in public_definitions(tree) if name.split(".")[-1] not in used | reserved]
+    return dead, sorted(used & reserved)
+
+
 def test_every_public_name_has_a_caller():
-    # this file spells the reserved names, so it is left out of the callers
-    trees = {p: ast.parse(p.read_text(), str(p)) for root in ("src", "tests", "perfbench")
-             for p in sorted((ROOT / root).rglob("*.py")) if p != Path(__file__).resolve()}
-    used = set().union(*map(referenced_names, trees.values()))
-    dead = [f"{p.relative_to(SRC)}: {name}" for p, tree in trees.items() if SRC in p.parents
-            for name in public_definitions(tree) if name.split(".")[-1] not in used | RESERVED.keys()]
+    trees = {str(p.relative_to(ROOT)): ast.parse(p.read_text(), str(p))
+             for root in ("src", "tests", "perfbench") for p in sorted((ROOT / root).rglob("*.py"))}
+    dead, called = dead_names(trees, RESERVED)
     assert not dead
     # a reserved name that gains a caller leaves RESERVED
-    assert not sorted(RESERVED.keys() & used)
+    assert not called
+
+
+def rule_on(sources: dict[str, str], reserved=()) -> tuple[list[str], list[str]]:
+    return dead_names({path: ast.parse(text) for path, text in sources.items()}, reserved)
+
+
+OP = "src/univid/ops.py"
+
+
+def test_rule_a_test_is_not_a_caller():
+    sources = {OP: "def helper():\n    return 1\n\nclass Op:\n    def apply(self):\n        return 2\n",
+               "tests/test_ops.py": "from univid.ops import Op, helper\n\n"
+                                    "def test_ops():\n    assert helper() + Op().apply() == 3\n"}
+    assert rule_on(sources) == ([f"{OP}: helper", f"{OP}: Op", f"{OP}: Op.apply"], [])
+    sources["perfbench/run.py"] = "from univid.ops import Op, helper\n\nprint(helper(), Op().apply())\n"
+    assert rule_on(sources) == ([], [])
+
+
+def test_rule_counts_strings_under_perfbench_only():
+    sources = {OP: "def concat(xs):\n    return _from_op(xs, 'concat')\n",
+               "tests/test_ops.py": "import univid.ops\n\ngetattr(univid.ops, 'concat')\n"}
+    assert rule_on(sources) == ([f"{OP}: concat"], [])
+    sources["perfbench/spans.py"] = "OPS = {'concat': 'concat'}\n"
+    assert rule_on(sources) == ([], [])
+
+
+def test_rule_fails_a_reserved_name_with_a_caller():
+    sources = {OP: "def later():\n    pass\n"}
+    assert rule_on(sources, {"later"}) == ([], [])
+    sources["src/univid/user.py"] = "from .ops import later\n\nlater()\n"
+    assert rule_on(sources, {"later"}) == ([], ["later"])
 
 
 # the special methods behind the `operator` module's functions (in-place forms
