@@ -84,38 +84,37 @@ def set_trainable_by_prefix(params: list[Parameter], prefixes: tuple[str, ...]) 
 TRANSFORMER_STD = 0.02
 
 
-def normal_init(rng: np.random.Generator, shape, std: float, dtype=np.float32) -> np.ndarray:
-    return (rng.standard_normal(shape) * std).astype(dtype)
+def normal_init(rng: np.random.Generator, shape, std: float) -> np.ndarray:
+    return (rng.standard_normal(shape) * std).astype(np.float32)
 
 
 class Linear(Module):
     """y = x @ W + b with W stored [in, out], initialized with std `std`
-    (default d_in ** -0.5), and b zero."""
+    (default d_in ** -0.5), and b zero; both float32."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, *, std: float | None = None,
-                 dtype=np.float32):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, *, std: float | None = None):
         super().__init__()
-        self.weight = Parameter(normal_init(rng, (d_in, d_out), std if std is not None else d_in**-0.5, dtype))
-        self.bias = Parameter(np.zeros(d_out, dtype=dtype))
+        self.weight = Parameter(normal_init(rng, (d_in, d_out), std if std is not None else d_in**-0.5))
+        self.bias = Parameter(np.zeros(d_out, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, dtype=np.float32):
+    def __init__(self, dim: int):
         super().__init__()
-        self.gamma = Parameter(np.ones(dim, dtype=dtype))
-        self.beta = Parameter(np.zeros(dim, dtype=dtype))
+        self.gamma = Parameter(np.ones(dim, dtype=np.float32))
+        self.beta = Parameter(np.zeros(dim, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gamma, self.beta)
 
 
 class Embedding(Module):
-    def __init__(self, vocab: int, dim: int, rng: np.random.Generator, *, dtype=np.float32):
+    def __init__(self, vocab: int, dim: int, rng: np.random.Generator):
         super().__init__()
-        self.table = Parameter(normal_init(rng, (vocab, dim), TRANSFORMER_STD, dtype))
+        self.table = Parameter(normal_init(rng, (vocab, dim), TRANSFORMER_STD))
 
     def __call__(self, ids: np.ndarray) -> Tensor:
         return T.take(self.table, ids)
@@ -124,17 +123,16 @@ class Embedding(Module):
 class MultiHeadAttention(Module):
     """Self- or cross-attention. For cross-attention pass `kv` (dim may differ)."""
 
-    def __init__(self, d_model: int, heads: int, rng: np.random.Generator, *,
-                 kv_dim: int | None = None, dtype=np.float32):
+    def __init__(self, d_model: int, heads: int, rng: np.random.Generator, *, kv_dim: int | None = None):
         super().__init__()
         if d_model % heads != 0:
             raise T.ShapeError("attention", f"d_model {d_model} not divisible by heads {heads}")
         kv_dim = kv_dim if kv_dim is not None else d_model
         self.heads = heads
-        self.wq = Linear(d_model, d_model, rng, std=TRANSFORMER_STD, dtype=dtype)
-        self.wk = Linear(kv_dim, d_model, rng, std=TRANSFORMER_STD, dtype=dtype)
-        self.wv = Linear(kv_dim, d_model, rng, std=TRANSFORMER_STD, dtype=dtype)
-        self.wo = Linear(d_model, d_model, rng, std=TRANSFORMER_STD, dtype=dtype)
+        self.wq = Linear(d_model, d_model, rng, std=TRANSFORMER_STD)
+        self.wk = Linear(kv_dim, d_model, rng, std=TRANSFORMER_STD)
+        self.wv = Linear(kv_dim, d_model, rng, std=TRANSFORMER_STD)
+        self.wo = Linear(d_model, d_model, rng, std=TRANSFORMER_STD)
 
     def __call__(self, x: Tensor, kv: Tensor | None = None, *, causal: bool = False,
                  bias: np.ndarray | None = None) -> Tensor:
@@ -144,10 +142,10 @@ class MultiHeadAttention(Module):
 
 
 class FeedForward(Module):
-    def __init__(self, d_model: int, hidden: int, rng: np.random.Generator, *, dtype=np.float32):
+    def __init__(self, d_model: int, hidden: int, rng: np.random.Generator):
         super().__init__()
-        self.fc1 = Linear(d_model, hidden, rng, std=TRANSFORMER_STD, dtype=dtype)
-        self.fc2 = Linear(hidden, d_model, rng, std=TRANSFORMER_STD, dtype=dtype)
+        self.fc1 = Linear(d_model, hidden, rng, std=TRANSFORMER_STD)
+        self.fc2 = Linear(hidden, d_model, rng, std=TRANSFORMER_STD)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(T.gelu(self.fc1(x)))
@@ -156,18 +154,17 @@ class FeedForward(Module):
 class TransformerBlock(Module):
     """Pre-norm block: self-attention, optional cross-attention, MLP of 4x width."""
 
-    def __init__(self, d_model: int, heads: int, rng: np.random.Generator, *,
-                 cross_dim: int | None = None, dtype=np.float32):
+    def __init__(self, d_model: int, heads: int, rng: np.random.Generator, *, cross_dim: int | None = None):
         super().__init__()
-        self.ln1 = LayerNorm(d_model, dtype=dtype)
-        self.attn = MultiHeadAttention(d_model, heads, rng, dtype=dtype)
+        self.ln1 = LayerNorm(d_model)
+        self.attn = MultiHeadAttention(d_model, heads, rng)
         if cross_dim is not None:
-            self.ln_x = LayerNorm(d_model, dtype=dtype)
-            self.cross = MultiHeadAttention(d_model, heads, rng, kv_dim=cross_dim, dtype=dtype)
+            self.ln_x = LayerNorm(d_model)
+            self.cross = MultiHeadAttention(d_model, heads, rng, kv_dim=cross_dim)
         else:
             self.cross = None
-        self.ln2 = LayerNorm(d_model, dtype=dtype)
-        self.mlp = FeedForward(d_model, 4 * d_model, rng, dtype=dtype)
+        self.ln2 = LayerNorm(d_model)
+        self.mlp = FeedForward(d_model, 4 * d_model, rng)
 
     def __call__(self, x: Tensor, *, causal: bool = False, cond: Tensor | None = None,
                  cond_bias: np.ndarray | None = None) -> Tensor:

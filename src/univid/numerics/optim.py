@@ -25,7 +25,7 @@ class AdamW:
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list[Parameter], lr: float = 1e-3, weight_decay: float = 0.01):
+    def __init__(self, params: list[Parameter], lr: float, weight_decay: float):
         self.params = list(params)
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)

@@ -306,42 +306,35 @@ def gelu(a: Tensor) -> Tensor:
 
     Each step is the same rounded operation as the plain expression (operands
     of a product or sum swapped at most), so the results are bitwise those of
-    the plain expression. With no graph recorded, every step writes into the
-    output buffer; otherwise both directions update the few buffers that
-    backward reads in place."""
+    the plain expression. The tanh term is built in one buffer. With no graph
+    recorded, the output overwrites it; otherwise the output gets its own
+    buffer, the tanh term is the one array that backward keeps, and backward
+    recomputes x * x and 0.5 * (1 + tanh) from it in the same rounded steps."""
     x = a.data
     c = math.sqrt(2.0 / math.pi)
-    if not (_grad_enabled and a.requires_grad):
-        out_data = np.multiply(x, x, out=np.empty_like(x))  # an array even when x is 0-d
-        out_data *= x
-        out_data *= 0.044715
-        out_data += x
-        out_data *= c
-        np.tanh(out_data, out=out_data)
-        out_data += 1.0
-        out_data *= 0.5
-        out_data *= x
-        return Tensor._from_op(out_data, (a,), "gelu", None)
-    x2 = x * x
-    th = np.multiply(x2, x, out=np.empty_like(x))  # an array even when x is 0-d
+    th = np.multiply(x, x, out=np.empty_like(x))  # an array even when x is 0-d
+    th *= x
     th *= 0.044715
     th += x
     th *= c
     np.tanh(th, out=th)
-    half_one_plus = th + 1.0
-    half_one_plus *= 0.5
-    out_data = x * half_one_plus
+    out_data = np.add(th, 1.0, out=np.empty_like(th) if _grad_enabled and a.requires_grad else th)
+    out_data *= 0.5
+    out_data *= x
 
     def bwd(g):
-        # half_one_plus + (0.5 * c) * x * (1 - th * th) * (1 + 0.134145 * x2), then times g
+        # 0.5 * (1 + th) + (0.5 * c) * x * (1 - th * th) * (1 + 0.134145 * x * x), then times g
         d = np.multiply(th, th, out=np.empty_like(th))
         np.subtract(1.0, d, out=d)
         t = np.multiply(x, 0.5 * c, out=np.empty_like(x))
         d *= t
-        np.multiply(x2, 0.134145, out=t)
+        np.multiply(x, x, out=t)
+        t *= 0.134145
         t += 1.0
         d *= t
-        d += half_one_plus
+        np.add(th, 1.0, out=t)
+        t *= 0.5
+        d += t
         d *= g
         a._accumulate(d, owned=True)
 
@@ -352,31 +345,14 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a [..., k] @ b [k, n] as one flat gemm over the rows of `a`; a right
+    operand of any other rank raises."""
     if a.dtype != b.dtype:
         raise DtypeError("matmul", f"dtype mismatch: {a.dtype} vs {b.dtype}")
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul", f"operands must be >=2-d, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError("matmul", f"inner dims differ: {a.shape} @ {b.shape}")
-    # fast path for the ubiquitous [..., k] @ [k, n] layer case: one flat gemm
-    flat_weight = b.ndim == 2 and a.ndim >= 2
-    if flat_weight:
-        out_data = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(*a.shape[:-1], b.shape[-1])
-    else:
-        out_data = np.matmul(a.data, b.data)
-
-    def bwd(g):
-        if flat_weight:
-            _flat_matmul_grads(g, a, b)
-            return
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape), owned=True)
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape), owned=True)
-
-    return Tensor._from_op(out_data, (a, b), "matmul", bwd)
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError("matmul", f"need [..., k] @ [k, n], got {a.shape} @ {b.shape}")
+    out_data = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(*a.shape[:-1], b.shape[-1])
+    return Tensor._from_op(out_data, (a, b), "matmul", lambda g: _flat_matmul_grads(g, a, b))
 
 
 def _flat_matmul_grads(g: np.ndarray, x: Tensor, w: Tensor) -> None:
@@ -659,9 +635,7 @@ def _axes(op: str, a: Tensor, axis) -> tuple:
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = None if axis is None else _axes("sum", a, axis)
-    out_data = a.data.sum(axis=axes, keepdims=keepdims)
-    if np.isscalar(out_data) or out_data.ndim == 0:
-        out_data = np.asarray(out_data, dtype=a.dtype)
+    out_data = np.asarray(a.data.sum(axis=axes, keepdims=keepdims))  # a full sum gives a numpy scalar
 
     def bwd(g):
         gg = g
@@ -747,19 +721,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (x, gamma, beta), "layer_norm", bwd)
 
 
-_MASK_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=64)
 def causal_bias(n: int, dtype) -> np.ndarray:
     """Additive [n, n] bias: 0 on/below the diagonal, a large negative above.
     The array is cached and shared, so it is read-only."""
-    key = (n, np.dtype(dtype).str)
-    if key not in _MASK_CACHE:
-        m = np.zeros((n, n), dtype=dtype)
-        m[np.triu_indices(n, k=1)] = -1e30
-        m.flags.writeable = False
-        _MASK_CACHE[key] = m
-    return _MASK_CACHE[key]
+    m = np.zeros((n, n), dtype=dtype)
+    m[np.triu_indices(n, k=1)] = -1e30
+    m.flags.writeable = False
+    return m
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, *, causal: bool = False,
@@ -773,7 +742,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, *, causal: bool = Fal
     and, with `causal`, the triangular bias; the heads' softmax-weighted sums
     of v are merged back to [..., Lq, heads * dv]. Values and gradients are
     bitwise those of the composition that splits the heads with reshape and
-    transpose, runs matmul, mul, add, softmax and matmul, and merges them.
+    transpose, runs a batched `np.matmul`, mul, add, softmax and a batched
+    `np.matmul`, one node each, and merges them.
     """
     if not (q.dtype == k.dtype == v.dtype):
         raise DtypeError("attention", f"dtype mismatch: {q.dtype}, {k.dtype}, {v.dtype}")

@@ -40,8 +40,11 @@ _CONTEXT_3X3 = ((2, 3), 3, 1, 1, 1)
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB of frames in [0, 1]."""
-    m = float(np.mean((np.asarray(a, np.float64) - np.asarray(b, np.float64)) ** 2))
+    """Peak signal-to-noise ratio in dB of frames in [0, 1]; `a` and `b` must have one shape."""
+    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    if a.shape != b.shape:
+        raise nx.ShapeError("psnr", f"shape mismatch: {a.shape} vs {b.shape}")
+    m = float(np.mean((a - b) ** 2))
     if m == 0:
         return float("inf")
     return 10.0 * np.log10(1.0 / m)

@@ -3,6 +3,8 @@
 The checker is the independent oracle for the autodiff engine: it re-evaluates
 the loss with perturbed parameter entries and never inspects the recorded
 graph. Run fragments in float64; float32 rounding drowns the h^2 truncation.
+Modules build float32 parameters, so `as_float64` recasts a module's
+parameters in place before its gradients are checked.
 """
 
 from __future__ import annotations
@@ -10,6 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from univid import numerics as nx
+
+
+def as_float64(module: nx.Module) -> nx.Module:
+    """`module`, its parameters recast to float64 in place, each with a zero gradient."""
+    for p in module.parameters():
+        p.data = p.data.astype(np.float64)
+        p.grad = np.zeros_like(p.data)
+    return module
 
 
 def grad_check(loss_fn, params: list[nx.Parameter]) -> list[float]:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from gradcheck import grad_check
+from gradcheck import as_float64, grad_check
 from univid import numerics as nx
 from univid.numerics import tensor as tz
 
@@ -75,6 +75,10 @@ def test_gelu_matches_plain_expression_bitwise(shape, dtype):
 def test_shape_errors_name_the_primitive():
     with pytest.raises(nx.ShapeError, match="matmul"):
         nx.matmul(nx.Tensor(np.zeros((2, 3))), nx.Tensor(np.zeros((2, 3))))
+    with pytest.raises(nx.ShapeError, match="matmul"):  # batched: only [..., k] @ [k, n]
+        nx.matmul(nx.Tensor(np.zeros((2, 2, 3))), nx.Tensor(np.zeros((2, 3, 4))))
+    with pytest.raises(nx.ShapeError, match="matmul"):
+        nx.matmul(nx.Tensor(np.zeros((2, 3))), nx.Tensor(np.zeros(3)))
     with pytest.raises(nx.ShapeError, match="mse"):
         nx.mse(nx.Tensor(np.zeros(3)), nx.Tensor(np.zeros(4)))
     with pytest.raises(nx.ShapeError, match="take"):
@@ -341,8 +345,7 @@ def test_linear_errors_name_the_op():
 
 def test_three_layer_mlp_matches_finite_differences():
     rng = np.random.default_rng(7)
-    layers = [nx.Linear(6, 8, rng, dtype=np.float64), nx.Linear(8, 8, rng, dtype=np.float64),
-              nx.Linear(8, 4, rng, dtype=np.float64)]
+    layers = [as_float64(nx.Linear(d_in, d_out, rng)) for d_in, d_out in ((6, 8), (8, 8), (8, 4))]
     x = t64(rng.standard_normal((5, 6)))
     y = t64(rng.standard_normal((5, 4)))
     params = []
@@ -444,16 +447,30 @@ def merge_heads_ref(x):
     return nx.reshape(x, (*lead, length, h * dh))
 
 
+def matmul_ref(a, b):
+    """Batched a [..., m, k] @ b [..., k, n] as one node, by `np.matmul` in
+    both directions, as the composition that `nx.attention` replaced ran it
+    (`nx.matmul` takes only a [k, n] right operand)."""
+
+    def bwd(g):
+        if a.requires_grad:
+            a._accumulate(tz._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape), owned=True)
+        if b.requires_grad:
+            b._accumulate(tz._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape), owned=True)
+
+    return tz.Tensor._from_op(np.matmul(a.data, b.data), (a, b), "matmul", bwd)
+
+
 def attention_ref(q, k, v, heads, causal=False, bias=None):
     """Split, matmul, mul, add, softmax, matmul and merge ops, one node each."""
     qh, kh, vh = (split_heads_ref(t, heads) for t in (q, k, v))
-    scores = nx.mul(nx.matmul(qh, swap_axes_ref(kh, -1, -2)), 1.0 / math.sqrt(qh.shape[-1]))
+    scores = nx.mul(matmul_ref(qh, swap_axes_ref(kh, -1, -2)), 1.0 / math.sqrt(qh.shape[-1]))
     if causal:
         scores = nx.add(scores, nx.Tensor(nx.causal_bias(q.shape[-2], q.dtype)))
     if bias is not None:
         bias = np.asarray(bias, dtype=q.dtype)
         scores = nx.add(scores, nx.Tensor(np.expand_dims(bias, -3) if bias.ndim > 2 else bias))
-    return merge_heads_ref(nx.matmul(nx.softmax(scores, axis=-1), vh))
+    return merge_heads_ref(matmul_ref(nx.softmax(scores, axis=-1), vh))
 
 
 def layout(a: np.ndarray) -> tuple:
@@ -858,7 +875,7 @@ def test_adamw_single_step_matches_scalar_oracle():
 def test_adamw_frozen_param_bitwise_unchanged():
     p = _named([nx.Parameter(np.array([1.5, 2.5], dtype=np.float32))])[0]
     p.requires_grad = False
-    opt = nx.AdamW([p], lr=0.5)
+    opt = nx.AdamW([p], lr=0.5, weight_decay=0.01)
     before = p.data.tobytes()
     p.grad = np.array([10.0, -10.0], dtype=np.float32)
     for _ in range(5):
@@ -869,7 +886,7 @@ def test_adamw_frozen_param_bitwise_unchanged():
 def test_adamw_missing_state_errors():
     p = _named([nx.Parameter(np.zeros(2, dtype=np.float32))])[0]
     p.requires_grad = False
-    opt = nx.AdamW([p], lr=0.1)
+    opt = nx.AdamW([p], lr=0.1, weight_decay=0.01)
     p.requires_grad = True  # trainable again without rebuilding states
     with pytest.raises(nx.MissingStateError):
         opt.step()
@@ -891,7 +908,7 @@ def test_adamw_deterministic():
     def run():
         rng = np.random.default_rng(5)
         p = _named([nx.Parameter(rng.standard_normal(8).astype(np.float32))])[0]
-        opt = nx.AdamW([p], lr=0.01)
+        opt = nx.AdamW([p], lr=0.01, weight_decay=0.01)
         for step in range(10):
             p.grad = np.full(8, 0.1 * (step + 1), dtype=np.float32)
             opt.step()
@@ -975,7 +992,7 @@ def test_fit_propagates_optimizer_step_errors_with_earlier_steps_applied(monkeyp
 
 def test_grad_check_attention_block():
     rng = np.random.default_rng(11)
-    block = nx.TransformerBlock(16, 2, rng, dtype=np.float64)
+    block = as_float64(nx.TransformerBlock(16, 2, rng))
     x = t64(rng.standard_normal((6, 16)))
     y = t64(rng.standard_normal((6, 16)))
     params = list(block.named_parameters(prefix="blk."))
@@ -992,7 +1009,9 @@ def cross_block(dtype):
     input, [2, 4, 6] cond and a [B, Lq, Lk] cond bias that hides cond token 3
     from every query of batch 0 and cond token 0 from queries 2.. of batch 1."""
     rng = np.random.default_rng(12)
-    block = nx.TransformerBlock(8, 2, rng, cross_dim=6, dtype=dtype)
+    block = nx.TransformerBlock(8, 2, rng, cross_dim=6)
+    if dtype == np.float64:
+        as_float64(block)
     x = nx.Tensor(rng.standard_normal((2, 5, 8)).astype(dtype))
     cond = rng.standard_normal((2, 4, 6)).astype(dtype)
     bias = np.zeros((2, 5, 4), dtype=dtype)

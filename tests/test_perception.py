@@ -83,6 +83,15 @@ def test_batch_entry_points_check_shapes():
         encoder().embed_frames(np.zeros((2, 3, 16, 16), np.float32))
 
 
+def test_psnr_needs_equal_shapes():
+    v = np.full((8, 3, pc.FRAME_SIZE, pc.FRAME_SIZE), 0.5, np.float32)
+    assert pc.psnr(v, v) == float("inf")
+    assert pc.psnr(v, v + 0.1) == pytest.approx(20.0)
+    # one frame would broadcast over the video's time axis
+    with pytest.raises(nx.ShapeError, match="psnr"):
+        pc.psnr(v, v[0] + 0.1)
+
+
 # -- frame encoder -------------------------------------------------------------------
 
 

@@ -8,11 +8,19 @@ A caller is a name read or an attribute taken in program code, which is the
 code under src/ and perfbench/. Tests are not callers, so code that only tests
 use lives under tests/. A string never counts as a caller under src/, not even
 an op's own `_from_op` tag. Under perfbench/ an identifier spelled as a string
-counts, because `perfbench/spans.py` patches ops by name."""
+counts, because `perfbench/spans.py` patches ops by name, so every name it
+patches must exist: its tracer installs and uninstalls here as a traced
+benchmark run does."""
 
 import ast
+import importlib.util
 import operator
 from pathlib import Path
+
+import numpy as np
+
+from univid import numerics as nx
+from univid.numerics import tensor as tz
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -181,3 +189,19 @@ def method_aliases(tree: ast.Module) -> list[str]:
 def test_tensor_ops_have_one_call_form():
     path = NUMERICS / "tensor.py"
     assert not method_aliases(ast.parse(path.read_text(), str(path)))
+
+
+def test_benchmark_tracer_patches_existing_ops_and_restores_them():
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    ops = {attr: vars(tz).get(attr) for attr in spans.NUMERICS_OPS.values()}
+    tracer = spans.Tracer()
+    try:
+        tracer.install()  # raises AttributeError for an op it patches by a name that is gone
+        nx.gelu(nx.Tensor(np.ones(3, np.float32)))
+    finally:
+        tracer.uninstall()
+    assert tracer.table()["numerics.gelu"]["calls"] == 1
+    # every op is itself again, in the tensor module and in the package
+    assert {attr: vars(tz).get(attr) for attr in ops} == ops and nx.gelu is ops["gelu"]
