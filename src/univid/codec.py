@@ -6,7 +6,8 @@
     crc32    u32      zlib.crc32 of every byte before it
 
 Text is a u32 byte length and UTF-8 bytes. An n-d array is u32 ndim (at most
-MAX_NDIM), u32 dims, then float32 items or, if boolean, `np.packbits` bytes.
+MAX_NDIM), u32 dims (whose nonzero product fits a numpy array), then float32
+items or, if boolean, `np.packbits` bytes.
 `Reader` checks every read against the body's end and raises only
 `DecodeError`. It decodes the body before comparing the checksum, so a
 structural fault names its own offset and corruption that still parses fails
@@ -115,19 +116,23 @@ class Reader:
         except UnicodeDecodeError as e:
             raise DecodeError(off + e.start, "invalid UTF-8 in text") from None
 
-    def _shape(self) -> tuple:
+    def _shape(self, itemsize: int) -> tuple:
         off = self.off
         (ndim,) = self.unpack(U32)
         if ndim > MAX_NDIM:
             raise DecodeError(off, f"{ndim} dimensions, at most {MAX_NDIM} supported")
-        return tuple(self.array("<u4", ndim).tolist())
+        shape = tuple(self.array("<u4", ndim).tolist())
+        # numpy bounds the bytes of the nonzero dims even when another dim is 0
+        if math.prod(d for d in shape if d) * itemsize > np.iinfo(np.intp).max:
+            raise DecodeError(off + 4, f"shape {shape} too large for an array")
+        return shape
 
     def tensor(self) -> np.ndarray:
-        shape = self._shape()
+        shape = self._shape(4)
         return self.array("<f4", math.prod(shape)).astype(np.float32).reshape(shape)
 
     def bits(self) -> np.ndarray:
-        shape = self._shape()
+        shape = self._shape(1)
         size = math.prod(shape)
         return np.unpackbits(self.array("u1", (size + 7) // 8), count=size).astype(bool).reshape(shape)
 

@@ -134,10 +134,9 @@ class MultiHeadAttention(Module):
         self.wv = Linear(kv_dim, d_model, rng, std=TRANSFORMER_STD)
         self.wo = Linear(d_model, d_model, rng, std=TRANSFORMER_STD)
 
-    def __call__(self, x: Tensor, kv: Tensor | None = None, *, causal: bool = False,
-                 bias: np.ndarray | None = None) -> Tensor:
+    def __call__(self, x: Tensor, kv: Tensor | None = None, *, causal: bool = False) -> Tensor:
         src = kv if kv is not None else x
-        out = T.attention(self.wq(x), self.wk(src), self.wv(src), self.heads, causal=causal, bias=bias)
+        out = T.attention(self.wq(x), self.wk(src), self.wv(src), self.heads, causal=causal)
         return self.wo(out)
 
 
@@ -166,13 +165,10 @@ class TransformerBlock(Module):
         self.ln2 = LayerNorm(d_model)
         self.mlp = FeedForward(d_model, 4 * d_model, rng)
 
-    def __call__(self, x: Tensor, *, causal: bool = False, cond: Tensor | None = None,
-                 cond_bias: np.ndarray | None = None) -> Tensor:
+    def __call__(self, x: Tensor, *, causal: bool = False, cond: Tensor | None = None) -> Tensor:
         if cond is not None and self.cross is None:
             raise T.ShapeError("cross_attention", "cond given to a block built without cross_dim")
-        if cond_bias is not None and cond is None:
-            raise T.ShapeError("cross_attention", "cond_bias given without cond")
         x = T.add(x, self.attn(self.ln1(x), causal=causal))
         if cond is not None:
-            x = T.add(x, self.cross(self.ln_x(x), kv=cond, bias=cond_bias))
+            x = T.add(x, self.cross(self.ln_x(x), kv=cond))
         return T.add(x, self.mlp(self.ln2(x)))

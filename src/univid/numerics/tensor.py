@@ -16,10 +16,9 @@ is always checked.
 
 `attention` and `layer_norm` are each one node whose intermediate values stay
 inside it, so each checks its output alone. In `attention` a NaN or +inf in
-q, k, v, a score or the bias still reaches the output through the softmax and
-raises there; a score or bias entry of -inf gives its key a weight of 0, as a
-mask does, and raises only when it masks a whole row. In `layer_norm` every
-intermediate value reaches the output through a product or a sum.
+q, k, v or a score still reaches the output through the softmax and raises
+there. In `layer_norm` every intermediate value reaches the output through a
+product or a sum.
 """
 
 from __future__ import annotations
@@ -566,7 +565,8 @@ def slice_(a: Tensor, key) -> Tensor:
     if not isinstance(key, tuple):
         key = (key,)
     for k in key:
-        if not isinstance(k, (int, np.integer, slice)):
+        # a bool is an int, but numpy reads it as a mask and adds an axis
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer, slice)):
             raise ShapeError("slice", f"unsupported index {k!r}; use ints and slices")
     try:
         out_data = np.asarray(a.data[key])  # an int on every axis gives a numpy scalar, kept as a 0-d array
@@ -731,19 +731,17 @@ def causal_bias(n: int, dtype) -> np.ndarray:
     return m
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, *, causal: bool = False,
-              bias: np.ndarray | None = None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, *, causal: bool = False) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
     q: [..., Lq, heads * dh], k: [..., Lk, heads * dh], v: [..., Lk, heads * dv],
     with the same leading axes. Head i of each projection is its channels
-    i * d up to (i + 1) * d. Each head's scores q k^T / sqrt(dh) get the
-    additive `bias`, broadcastable to [..., Lq, Lk] and shared by the heads,
-    and, with `causal`, the triangular bias; the heads' softmax-weighted sums
-    of v are merged back to [..., Lq, heads * dv]. Values and gradients are
-    bitwise those of the composition that splits the heads with reshape and
-    transpose, runs a batched `np.matmul`, mul, add, softmax and a batched
-    `np.matmul`, one node each, and merges them.
+    i * d up to (i + 1) * d. With `causal`, each head's scores q k^T / sqrt(dh)
+    get the triangular bias; the heads' softmax-weighted sums of v are merged
+    back to [..., Lq, heads * dv]. Values and gradients are bitwise those of
+    the composition that splits the heads with reshape and transpose, runs a
+    batched `np.matmul`, mul, add, softmax and a batched `np.matmul`, one node
+    each, and merges them.
     """
     if not (q.dtype == k.dtype == v.dtype):
         raise DtypeError("attention", f"dtype mismatch: {q.dtype}, {k.dtype}, {v.dtype}")
@@ -758,17 +756,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, *, causal: bool = Fal
     lq, lk = q.shape[-2], k.shape[-2]
     if causal and lq != lk:
         raise ShapeError("attention", "causal mask needs Lq == Lk")
-    if bias is not None:
-        bias = np.asarray(bias, dtype=q.dtype)
-        scores_shape = (*q.shape[:-2], lq, lk)
-        try:
-            fits = bias.ndim <= len(scores_shape) and np.broadcast_shapes(bias.shape, scores_shape) == scores_shape
-        except ValueError:
-            fits = False
-        if not fits:
-            raise ShapeError("attention", f"bias {bias.shape} does not broadcast to {scores_shape}")
-        if bias.ndim > 2:
-            bias = np.expand_dims(bias, -3)  # shared by the heads
 
     def split(a: np.ndarray) -> np.ndarray:
         """[..., L, heads * d] -> a [..., heads, L, d] view"""
@@ -785,8 +772,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, *, causal: bool = Fal
     scores *= scale
     if causal:
         scores += causal_bias(lq, q.dtype)
-    if bias is not None:
-        scores += bias
     p = _softmax(scores, -1, out=scores)
     out_data = merge(np.matmul(p, vh))
 

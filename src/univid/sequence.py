@@ -239,13 +239,12 @@ def parse(seq: MultimodalSequence) -> ParsedSequence:
 #   ids     u32 per text token (tag 0), in order
 #   vectors dim * float32 per visual token (tag 1), in order
 #
-# The header (magic, version, dim, count) is HEADER_SIZE bytes and the first
+# The header (magic, version, dim, count) is 12 bytes and the first
 # tag sits right after it. An empty sequence is the header plus the 4-byte
 # CRC trailer.
 
 MAGIC = b"MMSQ"
 FORMAT_VERSION = 2
-HEADER_SIZE = 12
 _DIM_COUNT = struct.Struct("<HI")
 
 

@@ -151,6 +151,20 @@ def test_array_rank_beyond_numpy_limit_rejected():
     assert exc.value.offset == ndim_at
 
 
+def test_empty_array_too_large_for_numpy_rejected():
+    # zero items, but numpy still bounds the bytes of the other dims
+    huge = (0, 2**32 - 1, 2**32 - 1)
+    video = one_sample_shard(video=np.zeros((0, 1, 1, 1), dtype=np.float32))
+    mask = one_sample_shard(preserved_mask=np.zeros((0, 1, 1), dtype=bool))  # last field, no payload
+    for data, dims_at, shape in ((video, SPEC_OFFSET + 18, (*huge, 1)), (mask, len(mask) - 4 - 12, huge)):
+        data = bytearray(data)
+        assert data[dims_at - 4] == len(shape)
+        data[dims_at:dims_at + 4 * len(shape)] = struct.pack(f"<{len(shape)}I", *shape)
+        with pytest.raises(sq.DecodeError, match="too large") as exc:
+            read_shard_bytes(reseal(bytes(data)))
+        assert exc.value.offset == dims_at
+
+
 def test_v1_headers_rejected():
     # the v1 encodings of an empty shard and an empty sequence
     for v1, read in ((sd.SHARD_MAGIC + struct.pack("<HI", 1, 0), read_shard_bytes),

@@ -214,19 +214,23 @@ def test_serialize_round_trip_fuzzed(seq):
     assert sq.deserialize(sq.serialize(seq)) == seq
 
 
+# the wire header: magic (4), version (2), dim (2) and count (4) bytes
+HEADER_SIZE = 12
+
+
 def test_empty_sequence_serializes_to_documented_header():
     data = sq.serialize(sq.MultimodalSequence())
-    assert len(data) == sq.HEADER_SIZE + 4 == 16  # header plus CRC32 trailer
+    assert len(data) == HEADER_SIZE + 4 == 16  # header plus CRC32 trailer
     assert data[:4] == sq.MAGIC
 
 
 def test_corrupted_tag_byte_reports_offset():
     seq = sq.pack_parts([("text", sq.encode_text("xy"))])
     data = bytearray(sq.serialize(seq))
-    data[sq.HEADER_SIZE] = 7  # first token tag
+    data[HEADER_SIZE] = 7  # first token tag
     with pytest.raises(sq.DecodeError) as exc:
         sq.deserialize(bytes(data))
-    assert exc.value.offset == sq.HEADER_SIZE
+    assert exc.value.offset == HEADER_SIZE
 
 
 def test_truncated_payload_rejected():

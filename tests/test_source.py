@@ -1,20 +1,28 @@
 """Source hygiene: no module under src/ or tests/ imports a name it never
 uses; only `numerics` runs backward passes or builds optimizers, so every
 training loop goes through `numerics.fit`; every public function, class and
-method in src/ has a caller in program code; and each tensor op has one call
-form, the function.
+method in src/ has a caller in program code, and every UPPER_CASE module
+constant in src/ (a private one too) a reader; every keyword-only parameter of
+a function or method in src/ is passed by that keyword at some call in program
+code; and each tensor op has one call form, the function.
 
-A caller is a name read or an attribute taken in program code, which is the
-code under src/ and perfbench/. Tests are not callers, so code that only tests
-use lives under tests/. A string never counts as a caller under src/, not even
-an op's own `_from_op` tag. Under perfbench/ an identifier spelled as a string
-counts, because `perfbench/spans.py` patches ops by name, so every name it
-patches must exist: its tracer installs and uninstalls here as a traced
-benchmark run does."""
+A caller or reader is a name read or an attribute read in program code, which
+is the code under src/ and perfbench/; an assignment to it does not count.
+Tests are not callers, so code that only tests use lives under tests/. A
+string never counts as a caller under src/, not even an op's own `_from_op`
+tag. Under perfbench/ an identifier spelled as a string counts, because
+`perfbench/spans.py` patches ops by name, so every name it patches must exist:
+its tracer installs and uninstalls here as a traced benchmark run does.
+
+A keyword-only option matches a call by keyword name alone, whatever the call's
+callee, and a `**` splat passes no name. Calls in the function's own body do
+not count, so an option that a function only forwards to itself, or that only
+an unpassed option feeds, is flagged too."""
 
 import ast
 import importlib.util
 import operator
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +50,17 @@ RESERVED = {
     "denormalize_latent": "item 5: decoder latents back to the VAE's scale",
     "psnr": "item 4: VAE reconstruction PSNR in the eval record",
     "probe_accuracy_on_renders": "item 4: probe accuracy in the eval record",
+    "TASK_IDS": "item 6: the backbone's task prefix",
+}
+
+# keyword-only options that no program call passes yet, kept for the ROADMAP
+# item that will pass them
+RESERVED_OPTIONS = {
+    "TransformerBlock.__init__(cross_dim=)": "item 5: the decoder's cross-attention over clue tokens",
+    "TransformerBlock.__call__(cond=)": "item 5: the clue tokens the decoder attends to",
+    "pretrain_frame_encoder(batch=)": "item 4: `univid pretrain` at tiny size",
+    "pretrain_vae(batch=)": "item 4: `univid pretrain` at tiny size",
+    "pretrain_vae(stat_videos=)": "item 4: `univid pretrain` at tiny size",
 }
 
 
@@ -85,8 +104,9 @@ def test_training_loops_go_through_fit():
     assert not {path: calls for path, calls in found.items() if calls}
 
 
-def public_definitions(tree: ast.Module) -> list[str]:
-    """Public top-level functions and classes, and the public methods of those classes."""
+def definitions(tree: ast.Module) -> list[str]:
+    """Public top-level functions and classes, the public methods of those
+    classes, and the UPPER_CASE module constants, private ones too."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
@@ -94,19 +114,22 @@ def public_definitions(tree: ast.Module) -> list[str]:
             if isinstance(node, ast.ClassDef):
                 found += [f"{node.name}.{item.name}" for item in node.body
                           if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            found += [t.id for t in ast.walk(node) if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+                      and t.id.lstrip("_").isupper()]
     return found
 
 
 def referenced_names(tree: ast.Module, strings: bool) -> set[str]:
-    """Names read and attributes taken, and with `strings` the identifiers
-    spelled as strings (names patched or looked up by `getattr`). A
-    definition's own name and an import alias are neither, so re-exports do
-    not count as use."""
+    """Names and attributes read, and with `strings` the identifiers spelled
+    as strings (names patched or looked up by `getattr`). A definition's own
+    name, an assignment and an import alias are none of these, so re-exports
+    do not count as use."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier()):
@@ -115,9 +138,9 @@ def referenced_names(tree: ast.Module, strings: bool) -> set[str]:
 
 
 def dead_names(trees: dict[str, ast.Module], reserved) -> tuple[list[str], list[str]]:
-    """Given modules by path relative to the repo root, the public definitions
-    under src/ that have no caller and are not `reserved`, and the `reserved`
-    names that have one."""
+    """Given modules by path relative to the repo root, the definitions under
+    src/ that have no caller and are not `reserved`, and the `reserved` names
+    that have one."""
     used = set()
     for path, tree in trees.items():
         root = Path(path).parts[0]
@@ -125,14 +148,17 @@ def dead_names(trees: dict[str, ast.Module], reserved) -> tuple[list[str], list[
             used |= referenced_names(tree, strings=root in STRING_ROOTS)
     reserved = set(reserved)
     dead = [f"{path}: {name}" for path, tree in trees.items() if Path(path).parts[0] == "src"
-            for name in public_definitions(tree) if name.split(".")[-1] not in used | reserved]
+            for name in definitions(tree) if name.split(".")[-1] not in used | reserved]
     return dead, sorted(used & reserved)
 
 
+def repo_trees() -> dict[str, ast.Module]:
+    return {str(p.relative_to(ROOT)): ast.parse(p.read_text(), str(p))
+            for root in ("src", "tests", "perfbench") for p in sorted((ROOT / root).rglob("*.py"))}
+
+
 def test_every_public_name_has_a_caller():
-    trees = {str(p.relative_to(ROOT)): ast.parse(p.read_text(), str(p))
-             for root in ("src", "tests", "perfbench") for p in sorted((ROOT / root).rglob("*.py"))}
-    dead, called = dead_names(trees, RESERVED)
+    dead, called = dead_names(repo_trees(), RESERVED)
     assert not dead
     # a reserved name that gains a caller leaves RESERVED
     assert not called
@@ -167,6 +193,82 @@ def test_rule_fails_a_reserved_name_with_a_caller():
     assert rule_on(sources, {"later"}) == ([], [])
     sources["src/univid/user.py"] = "from .ops import later\n\nlater()\n"
     assert rule_on(sources, {"later"}) == ([], ["later"])
+
+
+def test_rule_needs_a_read_of_each_constant():
+    sources = {OP: "LIMIT = 3\n_TABLE = (1, 2)\nscale = 2\n\ndef clip(x):\n    return min(x, LIMIT)\n",
+               "perfbench/run.py": "import univid.ops\n\nunivid.ops._TABLE = ()\nprint(univid.ops.clip(4))\n"}
+    assert rule_on(sources) == ([f"{OP}: _TABLE"], [])  # an assignment is not a read
+    sources["src/univid/user.py"] = "from .ops import _TABLE\n\nprint(len(_TABLE))\n"
+    assert rule_on(sources) == ([], [])
+
+
+def functions(node: ast.AST, prefix: str = ""):
+    """(qualified name, node) of each function and method under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(child, ast.FunctionDef):
+                yield prefix + child.name, child
+            yield from functions(child, f"{prefix}{child.name}.")
+        else:
+            yield from functions(child, prefix)
+
+
+def keywords_passed(node: ast.AST) -> Counter:
+    """The number of calls under `node` that pass each keyword by name."""
+    return Counter(kw.arg for call in ast.walk(node) if isinstance(call, ast.Call) for kw in call.keywords if kw.arg)
+
+
+def unpassed_options(trees: dict[str, ast.Module], reserved) -> tuple[list[str], list[str]]:
+    """Given modules by path relative to the repo root, the keyword-only
+    parameters of functions under src/ that no call in program code outside
+    the function passes by name and that are not `reserved`, and the
+    `reserved` options that are passed or gone."""
+    passed = sum((keywords_passed(tree) for path, tree in trees.items() if Path(path).parts[0] in PROGRAM_ROOTS),
+                 Counter())
+    unpassed = {f"{name}({arg.arg}=)": path for path, tree in trees.items() if Path(path).parts[0] == "src"
+                for name, node in functions(tree) for arg in node.args.kwonlyargs
+                if passed[arg.arg] == keywords_passed(node)[arg.arg]}
+    return ([f"{path}: {option}" for option, path in unpassed.items() if option not in reserved],
+            sorted(set(reserved) - set(unpassed)))
+
+
+def test_every_keyword_option_is_passed():
+    unpassed, stale = unpassed_options(repo_trees(), RESERVED_OPTIONS)
+    assert not unpassed
+    # a reserved option that gains a caller, or is deleted, leaves RESERVED_OPTIONS
+    assert not stale
+
+
+def options_on(sources: dict[str, str], reserved=()) -> tuple[list[str], list[str]]:
+    return unpassed_options({path: ast.parse(text) for path, text in sources.items()}, reserved)
+
+
+def test_option_rule_skips_the_functions_own_calls():
+    # `inner` is passed its option by `outer`, which only a test passes; `walk` only by itself
+    sources = {OP: "def inner(x, *, bias=None):\n    return x\n\n"
+                   "def outer(x, *, bias=None):\n    return inner(x, bias=bias)\n\n"
+                   "def walk(x, *, depth=0):\n    return walk(x, depth=depth + 1) if depth < 3 else x\n",
+               "tests/test_ops.py": "from univid.ops import outer, walk\n\nouter(1, bias=2)\nwalk(1, depth=1)\n"}
+    assert options_on(sources) == ([f"{OP}: outer(bias=)", f"{OP}: walk(depth=)"], [])
+    sources["perfbench/run.py"] = "from univid.ops import outer, walk\n\nouter(1, bias=2)\nwalk(1, depth=1)\n"
+    assert options_on(sources) == ([], [])
+
+
+def test_option_rule_matches_keywords_by_name():
+    sources = {OP: "class Block:\n    def __call__(self, x, *, causal=False):\n        return x\n",
+               "perfbench/run.py": "def run(block, **opts):\n    return block(1, **opts)\n"}
+    assert options_on(sources) == ([f"{OP}: Block.__call__(causal=)"], [])  # a splat names nothing
+    sources["src/univid/user.py"] = "def mask(n, *, causal=True):\n    return n\n\nmask(3, causal=False)\n"
+    assert options_on(sources) == ([], [])  # any call passing `causal=` counts
+
+
+def test_option_rule_fails_a_reserved_option_with_a_caller_or_gone():
+    sources = {OP: "def later(*, size=1):\n    return size\n"}
+    assert options_on(sources, {"later(size=)"}) == ([], [])
+    sources["src/univid/user.py"] = "from .ops import later\n\nlater(size=2)\n"
+    assert options_on(sources, {"later(size=)"}) == ([], ["later(size=)"])
+    assert options_on({OP: "def later():\n    return 1\n"}, {"later(size=)"}) == ([], ["later(size=)"])
 
 
 # the special methods behind the `operator` module's functions (in-place forms
