@@ -8,6 +8,7 @@ model outputs unchanged.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,14 +50,18 @@ class AttributeProbe:
             out[attr] = names[int(np.argmax(f @ w + b))]
         return out
 
-    def accuracy(self, videos: list[np.ndarray], specs: list[sd.SceneSpec]) -> dict:
-        """Per attribute of PROBE_ATTRS, the fraction of `videos` that `classify` gets right against `specs`."""
+    def accuracy(self, videos: Iterable[np.ndarray], specs: Iterable[sd.SceneSpec]) -> dict:
+        """Per attribute of PROBE_ATTRS, the fraction of `videos` that `classify` gets right against `specs`.
+
+        Both are read once, in step, so `videos` may be a generator that renders
+        each video as it is needed."""
         hits = dict.fromkeys(PROBE_ATTRS, 0)
-        for video, spec in zip(videos, specs, strict=True):
+        n = 0
+        for n, (video, spec) in enumerate(zip(videos, specs, strict=True), 1):
             pred = self.classify(video)
             for a in PROBE_ATTRS:
                 hits[a] += int(pred[a] == getattr(spec, a))
-        return {a: hits[a] / max(1, len(videos)) for a in PROBE_ATTRS}
+        return {a: hits[a] / max(1, n) for a in PROBE_ATTRS}
 
 
 def _fit_softmax(x: np.ndarray, y: np.ndarray, classes: int, *, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -85,4 +90,4 @@ def probe_accuracy_on_renders(probe: AttributeProbe) -> dict:
     """`probe.accuracy` on 200 8-frame renders of a fixed seed."""
     rng = np.random.default_rng(616)
     specs = [sd.random_spec(rng) for _ in range(200)]
-    return probe.accuracy([sd.render(s, 8) for s in specs], specs)
+    return probe.accuracy((sd.render(s, 8) for s in specs), specs)

@@ -44,6 +44,8 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
     if a.shape != b.shape:
         raise nx.ShapeError("psnr", f"shape mismatch: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise nx.ShapeError("psnr", f"zero-size frames {a.shape}")
     m = float(np.mean((a - b) ** 2))
     if m == 0:
         return float("inf")
@@ -153,6 +155,8 @@ def _contrastive_batch(rng: np.random.Generator, batch: int):
 def pretrain_frame_encoder(*, steps: int = 800, batch: int = 24,
                            seed: int = 11) -> tuple[FrameEncoder, list[float]]:
     """Contrastive pretraining on random scenes at lr 2e-3; returns the frozen encoder."""
+    if batch < 1:
+        raise nx.ShapeError("pretrain_frame_encoder", f"batch must be at least 1, got {batch}")
     encoder = FrameEncoder(seed)
     rng = np.random.default_rng(seed + 1)
 
@@ -259,8 +263,15 @@ class CausalVideoVae(nx.Module):
     # latent normalization for the flow-matching space
 
     def set_latent_stats(self, mean: np.ndarray, std: np.ndarray) -> None:
-        self.latent_mean.data = np.asarray(mean, dtype=np.float32)
-        self.latent_std.data = np.asarray(std, dtype=np.float32)
+        """Per-channel float32 [LATENT_CHANNELS] mean and std; both finite, std > 0."""
+        mean, std = np.asarray(mean, dtype=np.float32), np.asarray(std, dtype=np.float32)
+        if mean.shape != (LATENT_CHANNELS,) or std.shape != (LATENT_CHANNELS,):
+            raise nx.ShapeError("set_latent_stats", f"expected mean and std of shape ({LATENT_CHANNELS},), "
+                                                    f"got {mean.shape} and {std.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise nx.ShapeError("set_latent_stats", f"need finite mean and std > 0, got {mean} and {std}")
+        self.latent_mean.data = mean
+        self.latent_std.data = std
 
     def normalize_latent(self, z: np.ndarray) -> np.ndarray:
         m = self.latent_mean.data.reshape(1, -1, 1, 1)
@@ -304,15 +315,21 @@ def pretrain_vae(*, steps: int = 4000, batch: int = 8, seed: int = 21,
 
     A fifth of the steps train on one-frame batches (images), the rest on
     eight-frame ones. The learning rate is a cosine decay from 2e-3 to 0 plus a
-    constant 5e-5."""
+    constant 5e-5. The latent statistics are taken over `stat_videos` eight-frame
+    videos in chunks of `batch`, so a call never needs more memory than one
+    training step."""
+    if batch < 1 or stat_videos < 1:
+        raise nx.ShapeError("pretrain_vae", f"batch and stat_videos must be at least 1, "
+                                            f"got {batch} and {stat_videos}")
     vae = CausalVideoVae(seed)
     lr = 2e-3
     rng = np.random.default_rng(seed + 1)
-    # a step's last tensors, kept until the next step replaces them: freed with
-    # the rest of the step, they would leave the whole heap top free, glibc
-    # would return it to the OS, and the next step would fault it back in
-    # (about a fifth of a step's time)
-    last_step = []
+    # glibc raises its mmap threshold to the largest mapped block freed so far
+    # (up to 32 MB) and its heap-trim threshold to twice that. Freeing one
+    # untouched 31 MB block keeps every step's buffers on a heap that is not
+    # returned to the OS between steps, so steps do not fault their memory
+    # back in (about a quarter of a step's time); no page of it is touched.
+    np.empty(31 << 20, np.uint8)
 
     def loss_at(step: int) -> Tensor:
         frames = 1 if rng.random() < 0.2 else 8
@@ -320,7 +337,6 @@ def pretrain_vae(*, steps: int = 4000, batch: int = 8, seed: int = 21,
         rec = vae.decode_batch(vae.encode_batch(videos), frames=frames)
         d = nx.sub(rec, Tensor(videos))
         weights = Tensor(_edge_weights(videos))
-        last_step[:] = rec, d, weights
         return nx.mean(nx.mul(nx.mul(d, d), weights))
 
     def lr_at(step: int) -> float:
@@ -329,7 +345,8 @@ def pretrain_vae(*, steps: int = 4000, batch: int = 8, seed: int = 21,
     history = nx.fit(vae.parameters(), loss_at, steps=steps, lr=lr, weight_decay=1e-5, lr_at=lr_at)
     # measure latent statistics for the generative latent space
     with nx.no_grad():
-        z = vae.encode_batch(_vae_batch(rng, stat_videos, 8)).numpy()
+        z = np.concatenate([vae.encode_batch(_vae_batch(rng, min(batch, stat_videos - i), 8)).numpy()
+                            for i in range(0, stat_videos, batch)])
     lat = z.transpose(2, 0, 1, 3, 4).reshape(LATENT_CHANNELS, -1)
     vae.set_latent_stats(lat.mean(axis=1), lat.std(axis=1) + 1e-6)
     vae.freeze()

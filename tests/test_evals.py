@@ -40,4 +40,13 @@ def test_accuracy_rejects_videos_and_specs_of_different_lengths():
     videos = [sd.render(s, 2) for s in specs]
     with pytest.raises(ValueError):
         probe.accuracy(videos, specs[:3])
+    with pytest.raises(ValueError):
+        probe.accuracy(iter(videos[:3]), specs)
 
+
+def test_accuracy_takes_a_generator_of_videos():
+    probe = small_probe()
+    rng = np.random.default_rng(2)
+    specs = [sd.random_spec(rng) for _ in range(6)]
+    videos = [sd.render(s, 2) for s in specs]
+    assert probe.accuracy((sd.render(s, 2) for s in specs), specs) == probe.accuracy(videos, specs)

@@ -1,9 +1,11 @@
 """Causal video autoencoder: causality, frame-count rules, shape errors and
 the latent normalization round trip; the frame encoder's shape rules and unit
-embeddings; both pretraining entry points at tiny size."""
+embeddings; both pretraining entry points at tiny size, and the VAE's
+latent-statistics pass in chunks of the training batch."""
 
 import functools
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +92,9 @@ def test_psnr_needs_equal_shapes():
     # one frame would broadcast over the video's time axis
     with pytest.raises(nx.ShapeError, match="psnr"):
         pc.psnr(v, v[0] + 0.1)
+    # zero-size frames have no mean squared error
+    with pytest.raises(nx.ShapeError, match="psnr"):
+        pc.psnr(v[:0], v[:0])
 
 
 # -- frame encoder -------------------------------------------------------------------
@@ -130,6 +135,20 @@ def test_latent_normalize_round_trip():
     with nx.no_grad():
         expected = model.normalize_latent(model.encode(v).numpy())
     assert np.array_equal(model.encode_normalized(v), expected)
+
+
+@pytest.mark.parametrize("mean, std", [
+    (np.zeros(3), np.ones(3)),  # one value short of LATENT_CHANNELS
+    (0.0, 1.0),  # a scalar would broadcast over every channel
+    (np.zeros(pc.LATENT_CHANNELS), np.array([1.0, 0.0, 1.0, 1.0])),  # normalize would divide by 0
+    (np.array([0.0, np.nan, 0.0, 0.0]), np.ones(pc.LATENT_CHANNELS)),
+])
+def test_set_latent_stats_rejects_bad_stats(mean, std):
+    model = pc.CausalVideoVae()
+    with pytest.raises(nx.ShapeError, match="set_latent_stats"):
+        model.set_latent_stats(mean, std)
+    assert np.array_equal(model.latent_mean.data, np.zeros(pc.LATENT_CHANNELS))
+    assert np.array_equal(model.latent_std.data, np.ones(pc.LATENT_CHANNELS))
 
 
 # -- pretraining entry points ------------------------------------------------------
@@ -232,6 +251,82 @@ def test_vae_builds_no_window_tensor(monkeypatch):
     with nx.no_grad():
         model.decode(model.encode(video(8)))
     assert calls == []
+
+
+@pytest.mark.parametrize("name, run", [
+    ("pretrain_vae", lambda: pc.pretrain_vae(batch=0)),
+    ("pretrain_vae", lambda: pc.pretrain_vae(steps=0, stat_videos=0)),
+    ("pretrain_frame_encoder", lambda: pc.pretrain_frame_encoder(batch=0)),
+])
+def test_pretrain_rejects_empty_batches(name, run):
+    with pytest.raises(nx.ShapeError, match=name):
+        run()
+
+
+def test_encode_batch_rows_do_not_depend_on_the_batch():
+    # the latent-stat pass encodes in chunks of the training batch; at the
+    # default batch of 8 its latents are those of one call over all videos
+    rng = np.random.default_rng(4)
+    videos = pc._vae_batch(rng, 16, 8)
+    with nx.no_grad():
+        whole = vae().encode_batch(videos).numpy()
+        halves = np.concatenate([vae().encode_batch(half).numpy() for half in (videos[:8], videos[8:])])
+    assert whole.tobytes() == halves.tobytes()
+
+
+def encode_calls(monkeypatch, **kwargs):
+    """`pretrain_vae(seed=5, **kwargs)`'s model, and each `encode_batch` call's latents and video count."""
+    encode_batch, latents, sizes = pc.CausalVideoVae.encode_batch, [], []
+
+    def recorded(self, videos):
+        z = encode_batch(self, videos)
+        latents.append(z.numpy().copy())
+        sizes.append(len(videos))
+        return z
+    with monkeypatch.context() as m:
+        m.setattr(pc.CausalVideoVae, "encode_batch", recorded)
+        model, _ = pc.pretrain_vae(seed=5, **kwargs)
+    return model, latents, sizes
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3])
+def test_latent_stats_in_small_chunks_match_one_pass(monkeypatch, batch):
+    model, z, sizes = encode_calls(monkeypatch, steps=0, batch=batch, stat_videos=8)
+    one, z_one, _ = encode_calls(monkeypatch, steps=0, batch=8, stat_videos=8)
+    assert sizes == [min(batch, 8 - i) for i in range(0, 8, batch)]
+    assert np.abs(np.concatenate(z) - np.concatenate(z_one)).max() <= 1e-6
+    for name in ("latent_mean", "latent_std"):
+        got, want = getattr(model, name).data, getattr(one, name).data
+        assert (np.abs(got - want) <= 1e-5 * np.abs(want)).all(), name
+
+
+def test_pretrain_vae_encodes_at_most_a_batch_per_call(monkeypatch):
+    _, _, sizes = encode_calls(monkeypatch, steps=2, batch=3, stat_videos=7)
+    assert sizes == [3, 3, 3, 3, 1]  # two training steps, then the stat pass
+
+
+def numpy_peak(monkeypatch, **kwargs) -> int:
+    """tracemalloc's peak over `pretrain_vae(steps=0, ...)` from its training
+    loop on: the untouched block freed before it is never resident."""
+    fit = nx.fit
+
+    def fit_from_here(*args, **fit_kwargs):
+        tracemalloc.reset_peak()
+        return fit(*args, **fit_kwargs)
+    monkeypatch.setattr(nx, "fit", fit_from_here)
+    tracemalloc.start()
+    try:
+        pc.pretrain_vae(steps=0, seed=5, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_latent_stat_pass_memory_does_not_grow_with_stat_videos(monkeypatch):
+    pc.pretrain_vae(steps=0, batch=2, stat_videos=2, seed=5)  # warm lazy caches
+    small = numpy_peak(monkeypatch, batch=2, stat_videos=2)
+    large = numpy_peak(monkeypatch, batch=2, stat_videos=16)
+    assert large < 1.5 * small, (large, small)
 
 
 def test_pretrain_vae_records_latent_stats():
