@@ -14,11 +14,13 @@ non-finite leaf still raises at the first op that reads it. `window_linear`
 is not a rearranging op: it sums products, which can overflow, so its output
 is always checked.
 
-`attention` and `layer_norm` are each one node whose intermediate values stay
-inside it, so each checks its output alone. In `attention` a NaN or +inf in
-q, k, v or a score still reaches the output through the softmax and raises
-there. In `layer_norm` every intermediate value reaches the output through a
-product or a sum.
+`attention`, `layer_norm` and `l2_normalize` are each one node whose
+intermediate values stay inside it. In `attention` a NaN or +inf in q, k, v
+or a score reaches the output through the softmax, and in `layer_norm` every
+intermediate value reaches it through a product or a sum, so both check their
+output alone. `l2_normalize` also checks its root, sqrt(sum(a * a) + 1e-8),
+whose overflow divides into finite zeros. It is bitwise the mul, sum, add,
+sqrt and div nodes it replaced where its input has no other consumer.
 """
 
 from __future__ import annotations
@@ -276,28 +278,6 @@ def mul(a: Tensor, b) -> Tensor:
             b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
 
     return Tensor._from_op(out_data, (a, b), "mul", bwd)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _binary_check("div", a, b)
-    out_data = a.data / b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape), owned=True)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
-
-    return Tensor._from_op(out_data, (a, b), "div", bwd)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
-
-    def bwd(g):
-        a._accumulate(g * 0.5 / out_data, owned=True)
-
-    return Tensor._from_op(out_data, (a,), "sqrt", bwd)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -793,9 +773,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, *, causal: bool = Fal
 
 
 def l2_normalize(a: Tensor) -> Tensor:
-    """Unit-normalize over the last axis: a / sqrt(sum(a * a) + 1e-8)."""
-    sq = sum_(mul(a, a), axis=-1, keepdims=True)
-    return div(a, sqrt(add(sq, Tensor(np.asarray(1e-8, dtype=a.dtype)))))
+    """Unit-normalize over the last axis, a / sqrt(sum(a * a) + 1e-8), as one node."""
+    if a.ndim < 1:
+        raise ShapeError("l2_normalize", "cannot normalize the last axis of a 0-d tensor")
+    x = a.data
+    root = np.sqrt((x * x).sum(axis=-1, keepdims=True) + np.asarray(1e-8, dtype=x.dtype))
+    _check_finite(root, "l2_normalize")  # an inf root would divide into finite zeros
+
+    def bwd(g):
+        # the composition's closures in its backward order: div's gradient of
+        # `a`, then the root's through sqrt and the sum's broadcast, which
+        # mul(a, a) multiplies by `a` and adds twice
+        a._accumulate(g / root, owned=True)
+        g_squares = _unbroadcast(-g * x / (root * root), root.shape) * 0.5 / root * x
+        a._accumulate(g_squares)
+        a._accumulate(g_squares)
+
+    return Tensor._from_op(x / root, (a,), "l2_normalize", bwd)
 
 
 # -- losses -------------------------------------------------------------------

@@ -324,12 +324,6 @@ def pretrain_vae(*, steps: int = 4000, batch: int = 8, seed: int = 21,
     vae = CausalVideoVae(seed)
     lr = 2e-3
     rng = np.random.default_rng(seed + 1)
-    # glibc raises its mmap threshold to the largest mapped block freed so far
-    # (up to 32 MB) and its heap-trim threshold to twice that. Freeing one
-    # untouched 31 MB block keeps every step's buffers on a heap that is not
-    # returned to the OS between steps, so steps do not fault their memory
-    # back in (about a quarter of a step's time); no page of it is touched.
-    np.empty(31 << 20, np.uint8)
 
     def loss_at(step: int) -> Tensor:
         frames = 1 if rng.random() < 0.2 else 8

@@ -57,8 +57,11 @@ class SceneSpec:
     has_object: bool = True
 
     def __post_init__(self):
+        # a shard stores the seed as a u64 and has_object as an index into (False, True)
         if self.shape not in SHAPES or self.color not in COLORS or self.motion not in MOTIONS \
-                or self.background not in BACKGROUNDS or self.size not in SIZES:
+                or self.background not in BACKGROUNDS or self.size not in SIZES \
+                or isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
+                or not 0 <= self.seed < 2**64 or not isinstance(self.has_object, bool):
             raise SynthError(f"invalid scene spec {self}")
 
     def without_object(self) -> "SceneSpec":

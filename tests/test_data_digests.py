@@ -1,10 +1,12 @@
 """The synthetic data, pinned by SHA-256: spec draws, mixture samples, edit
-pairs, the perception batches and the parse of a shard of sequences. A
-renderer, RNG or parser change that moves one bit, or draws the same values in
-another order, fails here."""
+pairs, the perception batches, the parse of a shard of sequences and the bytes
+of a sample shard and its manifest. A renderer, RNG, parser or shard-format
+change that moves one bit, or draws the same values in another order, fails
+here."""
 
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +32,8 @@ def after(rng: np.random.Generator) -> int:
     return int(rng.integers(2**62))
 
 
-def data_digests() -> dict[str, str]:
+def data_digests(tmp: Path) -> dict[str, str]:
+    """The digests, with the sample shard written under `tmp`."""
     rng = np.random.default_rng(1)
     specs = [sd.random_spec(rng) for _ in range(200)]
     found = {"random_spec": digest(*specs, after(rng))}
@@ -56,7 +59,18 @@ def data_digests() -> dict[str, str]:
     parsed = [sq.parse(sq.deserialize(sq.serialize(sq.pack_parts(parts))))
               for parts in shard_parts(sd.sample_mixture(32, rng=rng), rng)]
     found["parse"] = digest(*(v for p in parsed for v in (p.text_segments, *(x for b in p.blocks for x in b))))
+    shard = sample_shard(tmp / "mixture.bin")
+    found["shard"] = hashlib.sha256(shard.read_bytes()).hexdigest()
+    found["shard/manifest"] = hashlib.sha256(manifest_of(shard).read_bytes()).hexdigest()
     return found
+
+
+def sample_shard(path: Path) -> Path:
+    return sd.write_shard(sd.sample_mixture(32, rng=np.random.default_rng(11)), path, seed=11)
+
+
+def manifest_of(shard: Path) -> Path:
+    return shard.with_suffix(shard.suffix + ".manifest.json")
 
 
 def shard_parts(samples: list[sd.Sample], rng: np.random.Generator) -> list[list]:
@@ -89,8 +103,17 @@ PINNED = {
     "make_edit_pair/AddObject/1": "af520a664a4818a68a79990f987303aac16bc8b887dccf392bf745ccc7c8d157",
     "make_edit_pair/AddObject/8": "f8113f28bce17f78854da071a1ee0590f2ab3c91dde325c35c8064dfebf2603a",
     "parse": "5d823e497c5d8b47bd8f39b3b0efa6553bf519a8e93ef0d5ab12c73f897c5ccd",
+    "shard": "5216eb72cd1a5b996782d235eb567d50ac8e3d4dfb2c76ca7c1feb78eae389b6",
+    "shard/manifest": "d29712d11e8b94b384341d0c5af337c7aac590303bf9defd59dda9bb930a8848",
 }
 
 
-def test_data_matches_pinned_digests():
-    assert data_digests() == PINNED
+def test_data_matches_pinned_digests(tmp_path):
+    assert data_digests(tmp_path) == PINNED
+
+
+def test_rewriting_a_read_shard_reproduces_its_bytes(tmp_path):
+    shard = sample_shard(tmp_path / "a.bin")
+    again = sd.write_shard(sd.read_shard(shard), tmp_path / "b.bin", seed=11)
+    assert again.read_bytes() == shard.read_bytes()
+    assert manifest_of(again).read_bytes() == manifest_of(shard).read_bytes()

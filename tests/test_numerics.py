@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from gradcheck import as_float64, grad_check
 from univid import numerics as nx
+from univid import perception as pc
 from univid.numerics import tensor as tz
 
 
@@ -164,12 +165,11 @@ def test_shape_contracts_hold_or_raise_named_errors(shape, call):
 
 
 def test_finite_check_flag():
-    one = nx.Tensor(np.array([1.0, 1.0], dtype=np.float32))
-    bad = nx.Tensor(np.array([1.0, 0.0], dtype=np.float32))
-    with np.errstate(divide="ignore"):
+    big = nx.Tensor(np.array([1.0, 1e30], dtype=np.float32))
+    with np.errstate(over="ignore"):
         with pytest.raises(nx.NonFiniteError) as err:
-            nx.div(one, bad)
-    assert err.value.op == "div"
+            nx.mul(big, big)
+    assert err.value.op == "mul"
 
 
 def test_finite_check_large_float64_finites_pass():
@@ -371,10 +371,9 @@ PRIMITIVE_CASES = {
     "add": lambda p, rng: nx.add(p, t64(rng.standard_normal(p.shape))),
     "sub": lambda p, rng: nx.sub(p, t64(rng.standard_normal(p.shape))),
     "mul": lambda p, rng: nx.mul(p, t64(rng.standard_normal(p.shape))),
-    "div": lambda p, rng: nx.div(p, t64(rng.standard_normal(p.shape) + 3.0)),
-    "sqrt": lambda p, rng: nx.sqrt(nx.add(nx.mul(p, p), 0.5)),
     "gelu": lambda p, rng: nx.gelu(p),
     "matmul": lambda p, rng: nx.matmul(p, t64(rng.standard_normal((p.shape[-1], 3)))),
+    "linear": lambda p, rng: nx.linear(p, t64(rng.standard_normal((p.shape[-1], 3))), t64(rng.standard_normal(3))),
     "reshape": lambda p, rng: nx.reshape(p, (p.size,)),
     "transpose": lambda p, rng: nx.transpose(p, (1, 0)),
     "concat": lambda p, rng: nx.concat([p, t64(rng.standard_normal(p.shape))], axis=0),
@@ -382,6 +381,8 @@ PRIMITIVE_CASES = {
     "window": lambda p, rng: nx.window(p, (0,), 2, 2, 1, 2),
     "window_2d": lambda p, rng: nx.window(nx.reshape(p, (2, 2, 5)), (0, 1), 3, 1, 1, 1),
     "window_2d_stride2": lambda p, rng: nx.window(nx.reshape(p, (2, 5, 2)), (1, 0), 3, 2, 2, 1),
+    "window_linear": lambda p, rng: nx.window_linear(nx.reshape(p, (2, 5, 2)), t64(rng.standard_normal((18, 3))),
+                                                     t64(rng.standard_normal(3)), (1, 0), 3, 2, 2, 1),
     "slice": lambda p, rng: p[1:3, :2],
     "take": lambda p, rng: nx.take(p, np.array([0, 2, 2, 1])),
     "add_rows": lambda p, rng: nx.add_rows(p, np.array([1, 3]), t64(rng.standard_normal((2, p.shape[1])))),
@@ -426,7 +427,7 @@ def test_primitive_gradients_match_finite_differences(name):
     assert worst <= 1e-6, f"{name}: worst rel err {worst:.3e}"
 
 
-# -- attention and layer_norm against the compositions they replaced --------------
+# -- attention, layer_norm and l2_normalize against the compositions they replaced --
 
 
 def swap_axes_ref(x, ax1, ax2):
@@ -553,6 +554,69 @@ def test_layer_norm_matches_composition_bitwise(lead, d, seed):
         return nx.add(nx.mul(normalize_ref(x), gamma), beta)
 
     assert results_and_grads(nx.layer_norm, (x, gamma, beta), g) == results_and_grads(composed, (x, gamma, beta), g)
+
+
+def div_ref(a, b):
+    """The div node that ended l2_normalize's composition."""
+
+    def bwd(g):
+        if a.requires_grad:
+            a._accumulate(tz._unbroadcast(g / b.data, a.shape), owned=True)
+        if b.requires_grad:
+            b._accumulate(tz._unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
+
+    return tz.Tensor._from_op(a.data / b.data, (a, b), "div", bwd)
+
+
+def sqrt_ref(a):
+    """The sqrt node of l2_normalize's composition."""
+    out_data = np.sqrt(a.data)
+
+    def bwd(g):
+        a._accumulate(g * 0.5 / out_data, owned=True)
+
+    return tz.Tensor._from_op(out_data, (a,), "sqrt", bwd)
+
+
+def l2_normalize_ref(a):
+    """Mul, sum, add, sqrt and div nodes: a / sqrt(sum(a * a) + 1e-8)."""
+    squares = nx.sum_(nx.mul(a, a), axis=-1, keepdims=True)
+    return div_ref(a, sqrt_ref(nx.add(squares, nx.Tensor(np.asarray(1e-8, dtype=a.dtype)))))
+
+
+# input scales: squares that underflow to zero, subnormal squares, unit, and
+# huge values whose 16 squares still sum far below the dtype's overflow
+L2_SCALES = {np.float32: (1e-30, 1e-21, 1.0, 1e17), np.float64: (1e-200, 1e-160, 1.0, 1e150)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 3), max_size=2), st.integers(1, 16), st.sampled_from([np.float32, np.float64]),
+       st.integers(0, 3), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+@example([2, 3], 16, np.float32, 0, True, True, 0)
+@example([3], 5, np.float64, 3, True, False, 1)
+def test_l2_normalize_matches_composition_bitwise(lead, d, dtype, scale, zero_rows, fortran_g, seed):
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal((*lead, d)) * L2_SCALES[dtype][scale]).astype(dtype)
+    if zero_rows:
+        x[np.asarray(rng.random(tuple(lead)) < 0.4)] = 0.0
+    g = rng.standard_normal(x.shape).astype(dtype)
+    if fortran_g:  # the output gradient in another memory order
+        g = np.asfortranarray(g)
+    assert results_and_grads(nx.l2_normalize, (x,), g) == results_and_grads(l2_normalize_ref, (x,), g)
+
+
+@pytest.mark.parametrize("x", [[1e20, 1.0], [1e19] * 4], ids=["squares_overflow", "sum_overflows"])
+def test_l2_normalize_raises_where_its_root_overflows(x):
+    # the output alone would read as finite: x / inf is 0
+    with np.errstate(over="ignore"), pytest.raises(nx.NonFiniteError) as err:
+        nx.l2_normalize(nx.Tensor(np.array(x, np.float32)))
+    assert err.value.op == "l2_normalize"
+
+
+def test_l2_normalize_rejects_a_0d_tensor():
+    with pytest.raises(nx.ShapeError) as err:
+        nx.l2_normalize(nx.Tensor(np.ones((), np.float32)))
+    assert err.value.op == "l2_normalize"
 
 
 def test_attention_and_layer_norm_errors_name_the_op():
@@ -1066,6 +1130,14 @@ def test_block_forward_node_counts(monkeypatch):
     assert count_nodes(monkeypatch, lambda: block(x)) == 12
     block, x, cond = cross_block(np.float32)
     assert count_nodes(monkeypatch, lambda: block(x, cond=nx.Tensor(cond))) == 19
+
+
+def test_embed_frames_node_count(monkeypatch):
+    # patch embed, pos add, 2 blocks of 12, mean (sum and mul), out linear and
+    # one l2_normalize node; more means the normalization is a composition again
+    encoder = pc.FrameEncoder()
+    frames = np.random.default_rng(18).uniform(0.0, 1.0, (2, 3, 32, 32)).astype(np.float32)
+    assert count_nodes(monkeypatch, lambda: encoder.embed_frames(frames)) == 30
 
 
 @pytest.mark.parametrize("shapes", [[(3, 2), (3, 2)], [(3, 2), (4,)]], ids=["same_shape", "other_shape"])

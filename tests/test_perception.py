@@ -307,7 +307,8 @@ def test_pretrain_vae_encodes_at_most_a_batch_per_call(monkeypatch):
 
 def numpy_peak(monkeypatch, **kwargs) -> int:
     """tracemalloc's peak over `pretrain_vae(steps=0, ...)` from its training
-    loop on: the untouched block freed before it is never resident."""
+    loop on, which with no steps frees no untouched block, so the peak is the
+    latent-statistics pass's alone."""
     fit = nx.fit
 
     def fit_from_here(*args, **fit_kwargs):

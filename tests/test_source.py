@@ -17,7 +17,11 @@ its tracer installs and uninstalls here as a traced benchmark run does.
 A keyword-only option matches a call by keyword name alone, whatever the call's
 callee, and a `**` splat passes no name. Calls in the function's own body do
 not count, so an option that a function only forwards to itself, or that only
-an unpassed option feeds, is flagged too."""
+an unpassed option feeds, is flagged too.
+
+Every graph node, each tag that `numerics/tensor.py` passes to
+`Tensor._from_op`, has a finite-difference case in `tests/test_numerics.py`:
+a `PRIMITIVE_CASES` key that is the tag or starts with the tag and "_"."""
 
 import ast
 import importlib.util
@@ -307,3 +311,38 @@ def test_benchmark_tracer_patches_existing_ops_and_restores_them():
     assert tracer.table()["numerics.gelu"]["calls"] == 1
     # every op is itself again, in the tensor module and in the package
     assert {attr: vars(tz).get(attr) for attr in ops} == ops and nx.gelu is ops["gelu"]
+
+
+def node_tags(tree: ast.Module) -> list[str]:
+    """The op tags passed to `Tensor._from_op` in the module, in source
+    order; a tag that is not a string literal is listed as its source."""
+    tags = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_from_op":
+            tag = node.args[2]
+            tags.append(tag.value if isinstance(tag, ast.Constant) and isinstance(tag.value, str) else ast.unparse(tag))
+    return tags
+
+
+def untested_nodes(ops: ast.Module, cases: ast.Module) -> list[str]:
+    """The node tags of `ops` that no key of the `PRIMITIVE_CASES` dict in `cases` covers."""
+    table = next(node.value for node in cases.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "PRIMITIVE_CASES" for t in node.targets))
+    keys = [key.value for key in table.keys]
+    return [tag for tag in node_tags(ops) if not any(k == tag or k.startswith(tag + "_") for k in keys)]
+
+
+def test_every_node_has_a_finite_difference_case():
+    ops, cases = (ast.parse(p.read_text(), str(p))
+                  for p in (NUMERICS / "tensor.py", ROOT / "tests" / "test_numerics.py"))
+    assert "l2_normalize" in node_tags(ops)
+    assert not untested_nodes(ops, cases)
+
+
+def test_node_rule_matches_a_tag_or_its_prefix():
+    ops = ast.parse("def cube(a):\n    return Tensor._from_op(a.data ** 3, (a,), 'cube', None)\n")
+    assert untested_nodes(ops, ast.parse("PRIMITIVE_CASES = {'cube': 1}\n")) == []
+    assert untested_nodes(ops, ast.parse("PRIMITIVE_CASES = {'cube_2d': 1}\n")) == []
+    assert untested_nodes(ops, ast.parse("PRIMITIVE_CASES = {'cubed': 1, 'cub': 1}\n")) == ["cube"]
+    dynamic = ast.parse("def any_op(a, op):\n    return Tensor._from_op(a.data, (a,), op, None)\n")
+    assert untested_nodes(dynamic, ast.parse("PRIMITIVE_CASES = {'cube': 1}\n")) == ["op"]

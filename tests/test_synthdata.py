@@ -260,6 +260,21 @@ def test_inapplicable_ops_error():
         sd.make_edit_pair("video_edit", spec.without_object(), sd.RemoveObject(), 2)
 
 
+@pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 2**64), ("seed", 1.5), ("seed", True),
+                                          ("has_object", "yes"), ("has_object", 2), ("has_object", None)])
+def test_spec_rejects_values_a_shard_or_render_cannot_take(field, value):
+    # each of these used to construct, then fail in write_shard or render with another error type
+    with pytest.raises(sd.SynthError, match="invalid scene spec"):
+        spec_of(**{field: value})
+
+
+def test_spec_takes_the_ends_of_the_seed_range(tmp_path):
+    specs = [spec_of(seed=0), spec_of(seed=2**64 - 1, has_object=False)]
+    shard = sd.write_shard([sd.Sample(kind="text_to_image", spec=s) for s in specs], tmp_path / "s.bin")
+    assert [s.spec for s in sd.read_shard(shard)] == specs
+    assert sd.render(specs[1], 1).shape == (1, 3, sd.CANVAS, sd.CANVAS)
+
+
 # -- mixture ---------------------------------------------------------------------
 
 
