@@ -21,6 +21,14 @@ intermediate value reaches it through a product or a sum, so both check their
 output alone. `l2_normalize` also checks its root, sqrt(sum(a * a) + 1e-8),
 whose overflow divides into finite zeros. It is bitwise the mul, sum, add,
 sqrt and div nodes it replaced where its input has no other consumer.
+
+What a node keeps for backward is what its closure reads: its parents, and
+any array it names. `gelu` keeps its input only and recomputes its tanh term;
+`layer_norm` keeps `xhat` and `inv`; `attention` keeps `p`, the softmax of
+its scores. `backward` pops each node from its topological list, runs it, and
+clears its closure and parents, so nothing in the pass holds it afterwards:
+an activation is freed once the last node that reads it has run, unless the
+caller still holds it.
 """
 
 from __future__ import annotations
@@ -193,10 +201,12 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            # popped, run, and cut from its closure and parents, a node has no
+            # reference left in the pass; leaves and the loss keep their grads
+            node = topo.pop()
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
-                # free intermediate grads/graph as we go; leaves keep grads
                 node._backward_fn = None
                 node._parents = ()
                 if node is not self:
@@ -285,32 +295,37 @@ def gelu(a: Tensor) -> Tensor:
 
     Each step is the same rounded operation as the plain expression (operands
     of a product or sum swapped at most), so the results are bitwise those of
-    the plain expression. The tanh term is built in one buffer. With no graph
-    recorded, the output overwrites it; otherwise the output gets its own
-    buffer, the tanh term is the one array that backward keeps, and backward
-    recomputes x * x and 0.5 * (1 + tanh) from it in the same rounded steps."""
+    the plain expression. Forward builds the tanh term in one buffer and turns
+    it into the output in place. The node keeps only its input: backward
+    recomputes x * x and the tanh term from it in the same rounded steps."""
     x = a.data
     c = math.sqrt(2.0 / math.pi)
+
+    def tanh_term(th: np.ndarray) -> np.ndarray:
+        """tanh(c * (x + 0.044715 * x^3)), in place in `th`, which holds x * x * x"""
+        th *= 0.044715
+        th += x
+        th *= c
+        return np.tanh(th, out=th)
+
     th = np.multiply(x, x, out=np.empty_like(x))  # an array even when x is 0-d
     th *= x
-    th *= 0.044715
-    th += x
-    th *= c
-    np.tanh(th, out=th)
-    out_data = np.add(th, 1.0, out=np.empty_like(th) if _grad_enabled and a.requires_grad else th)
+    out_data = tanh_term(th)
+    out_data += 1.0
     out_data *= 0.5
     out_data *= x
 
     def bwd(g):
         # 0.5 * (1 + th) + (0.5 * c) * x * (1 - th * th) * (1 + 0.134145 * x * x), then times g
+        x2 = np.multiply(x, x, out=np.empty_like(x))
+        th = tanh_term(np.multiply(x2, x, out=np.empty_like(x)))
         d = np.multiply(th, th, out=np.empty_like(th))
         np.subtract(1.0, d, out=d)
         t = np.multiply(x, 0.5 * c, out=np.empty_like(x))
         d *= t
-        np.multiply(x, x, out=t)
-        t *= 0.134145
-        t += 1.0
-        d *= t
+        x2 *= 0.134145
+        x2 += 1.0
+        d *= x2
         np.add(th, 1.0, out=t)
         t *= 0.5
         d += t
@@ -330,17 +345,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DtypeError("matmul", f"dtype mismatch: {a.dtype} vs {b.dtype}")
     if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError("matmul", f"need [..., k] @ [k, n], got {a.shape} @ {b.shape}")
-    out_data = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(*a.shape[:-1], b.shape[-1])
+    out_data = (_rows(a.data) @ b.data).reshape(*a.shape[:-1], b.shape[-1])
     return Tensor._from_op(out_data, (a, b), "matmul", lambda g: _flat_matmul_grads(g, a, b))
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """`a` [..., k] as a [rows, k] matrix. reshape(-1, k) cannot count the
+    rows when k is 0; a gemm over k = 0 gives zeros."""
+    return a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
 
 
 def _flat_matmul_grads(g: np.ndarray, x: Tensor, w: Tensor) -> None:
     """Gradients of x [..., k] @ w [k, n], computed as one flat gemm each."""
-    g2 = g.reshape(-1, w.shape[-1])
+    g2 = _rows(g)
     if x.requires_grad:
         x._accumulate((g2 @ w.data.T).reshape(x.shape), owned=True)
     if w.requires_grad:
-        w._accumulate(x.data.reshape(-1, x.shape[-1]).T @ g2, owned=True)
+        w._accumulate(_rows(x.data).T @ g2, owned=True)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -351,7 +372,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DtypeError("linear", f"dtype mismatch: {x.dtype}, {w.dtype}, {b.dtype}")
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError("linear", f"cannot apply weight {w.shape} and bias {b.shape} to {x.shape}")
-    out_data = (x.data.reshape(-1, x.shape[-1]) @ w.data).reshape(*x.shape[:-1], w.shape[1])
+    out_data = (_rows(x.data) @ w.data).reshape(*x.shape[:-1], w.shape[1])
     out_data += b.data
 
     def bwd(g):
@@ -502,17 +523,17 @@ def window_linear(a: Tensor, w: Tensor, b: Tensor, axes: tuple, size: int, strid
         raise ShapeError("window_linear", f"cannot apply weight {w.shape} and bias {b.shape} "
                                           f"to windows of {size ** len(axes)} entries of {a.shape}")
     n = w.shape[1]
-    w_entries = w.data.reshape(-1, c, n)
+    w_entries = w.data.reshape(size ** len(axes), c, n)
     out_data = np.empty(lead + (n,), dtype=a.dtype)
     out_data[...] = b.data
     for i, dst, src in pairs:
         x = a.data[src]
-        out_data[dst] += (x.reshape(-1, c) @ w_entries[i]).reshape(*x.shape[:-1], n)
+        out_data[dst] += (_rows(x) @ w_entries[i]).reshape(*x.shape[:-1], n)
 
     def bwd(g):
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape), owned=True)
-        g_rows = g.reshape(-1, n)
+        g_rows = _rows(g)
         if a.requires_grad:
             ga = np.zeros(a.shape, dtype=a.dtype)
             for i, dst, src in pairs:
@@ -530,7 +551,7 @@ def window_linear(a: Tensor, w: Tensor, b: Tensor, axes: tuple, size: int, strid
             for i, dst, src in pairs:
                 entry.fill(0)
                 entry[dst] = a.data[src]
-                gw[i * c:(i + 1) * c] = entry.reshape(-1, c).T @ g_rows
+                gw[i * c:(i + 1) * c] = _rows(entry).T @ g_rows
             w._accumulate(gw, owned=True)
 
     return Tensor._from_op(out_data, (a, w, b), "window_linear", bwd)
@@ -631,6 +652,8 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     n = math.prod(a.shape[ax] for ax in _axes("mean", a, axis))
+    if n == 0:
+        raise ShapeError("mean", f"no elements to average over axis {axis} of {a.shape}")
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
 
 
@@ -656,8 +679,8 @@ def _softmax_grad(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError("softmax", f"axis {axis} invalid for shape {a.shape}")
+    if not -a.ndim <= axis < a.ndim or a.shape[axis] == 0:
+        raise ShapeError("softmax", f"axis {axis} of {a.shape} is out of range or empty")
     out_data = _softmax(a.data, axis)
 
     def bwd(g):
@@ -674,6 +697,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise DtypeError("layer_norm", f"dtype mismatch: {x.dtype}, {gamma.dtype}, {beta.dtype}")
     if x.ndim < 1 or gamma.shape != x.shape[-1:] or beta.shape != gamma.shape:
         raise ShapeError("layer_norm", f"cannot apply gamma {gamma.shape} and beta {beta.shape} to {x.shape}")
+    if x.shape[-1] == 0:
+        raise ShapeError("layer_norm", f"no elements to normalize over the last axis of {x.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     xhat = x.data - mu
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
@@ -734,6 +759,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, *, causal: bool = Fal
     if heads < 1 or q.shape[-1] % heads or v.shape[-1] % heads:
         raise ShapeError("attention", f"{heads} heads do not split q {q.shape} and v {v.shape}")
     lq, lk = q.shape[-2], k.shape[-2]
+    if lk == 0 or q.shape[-1] == 0:
+        raise ShapeError("attention", f"scores need a key and a q/k channel, got k {k.shape}")
     if causal and lq != lk:
         raise ShapeError("attention", "causal mask needs Lq == Lk")
 
@@ -805,7 +832,9 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     if t.dtype.kind not in "iu":
         raise ShapeError("cross_entropy", "targets must be integers")
     n, vocab = logits.shape
-    if t.size and (t.min() < 0 or t.max() >= vocab):
+    if n == 0:
+        raise ShapeError("cross_entropy", "no rows to average over")
+    if t.min() < 0 or t.max() >= vocab:
         raise ShapeError("cross_entropy", f"target id out of range for vocab {vocab}")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -823,7 +852,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 def mse(pred: Tensor, target) -> Tensor:
     """Mean of squared differences over all elements."""
     target = _lift(target, pred.dtype)
-    if pred.shape != target.shape:
-        raise ShapeError("mse", f"shape mismatch: {pred.shape} vs {target.shape}")
+    if pred.shape != target.shape or pred.size == 0:
+        raise ShapeError("mse", f"need equal non-empty shapes, got {pred.shape} vs {target.shape}")
     d = sub(pred, target)
     return mean(mul(d, d))

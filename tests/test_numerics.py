@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -73,6 +75,18 @@ def test_gelu_matches_plain_expression_bitwise(shape, dtype):
         assert plain.numpy().tobytes() == np.asarray(want_out).tobytes()
 
 
+def test_zero_width_contraction_is_zeros_plus_the_bias():
+    bias = nx.Parameter(np.array([1.0, 2.0, 3.0], dtype=np.float32))
+    x, w = nx.Parameter(np.ones((2, 4, 0), dtype=np.float32)), nx.Parameter(np.ones((0, 3), dtype=np.float32))
+    assert np.array_equal(nx.matmul(x, w).numpy(), np.zeros((2, 4, 3)))
+    for out in (nx.linear(x, w, bias), nx.window_linear(x, w, bias, (0,), 1, 1, 0, 0)):
+        assert np.array_equal(out.numpy(), np.broadcast_to(bias.data, (2, 4, 3)))
+        x.grad = w.grad = bias.grad = None
+        nx.sum_(out).backward()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+        assert np.array_equal(bias.grad, [8.0, 8.0, 8.0])
+
+
 def test_shape_errors_name_the_primitive():
     with pytest.raises(nx.ShapeError, match="matmul"):
         nx.matmul(nx.Tensor(np.zeros((2, 3))), nx.Tensor(np.zeros((2, 3))))
@@ -82,6 +96,8 @@ def test_shape_errors_name_the_primitive():
         nx.matmul(nx.Tensor(np.zeros((2, 3))), nx.Tensor(np.zeros(3)))
     with pytest.raises(nx.ShapeError, match="mse"):
         nx.mse(nx.Tensor(np.zeros(3)), nx.Tensor(np.zeros(4)))
+    with pytest.raises(nx.ShapeError, match="mse"):  # the mean of no squares
+        nx.mse(nx.Tensor(np.zeros((2, 0))), nx.Tensor(np.zeros((2, 0))))
     with pytest.raises(nx.ShapeError, match="take"):
         nx.take(nx.Tensor(np.zeros((5, 2))), np.array([5]))
     with pytest.raises(nx.ShapeError, match="take"):
@@ -118,12 +134,24 @@ INDEX = st.integers(-6, 6) | st.builds(slice, st.none() | st.integers(-6, 6), st
                                         st.none() | st.integers(-3, 3))
 AXES = st.lists(st.integers(-4, 4), max_size=2)
 AXIS = st.none() | st.integers(-4, 4) | AXES.map(tuple) | AXES
+DIM = st.integers(0, 4)
+
+
+def ones(*shape):
+    return nx.Parameter(np.ones(shape, dtype=np.float32))
+
+
+def last(p):
+    return p.shape[-1] if p.ndim else 0
 
 
 @st.composite
 def shape_op_calls(draw):
     """(op name, function of a [*shape] parameter) with drawn arguments, valid or not."""
-    op = draw(st.sampled_from(["slice", "sum", "mean", "add_rows", "window", "transpose", "take"]))
+    op = draw(st.sampled_from(["slice", "sum", "mean", "add_rows", "window", "transpose", "take", "matmul",
+                               "linear", "window_linear", "softmax", "attention", "layer_norm", "cross_entropy"]))
+    # `fits` sizes an operand to the parameter's last axis, which a drawn size rarely matches
+    fits = draw(st.booleans())
     if op == "slice":
         key = draw(INDEX | st.lists(INDEX, max_size=4).map(tuple))
         return op, lambda p: p[key]
@@ -135,7 +163,7 @@ def shape_op_calls(draw):
         idx = np.array(draw(st.lists(st.integers(-2, 6), max_size=4)), dtype=np.int64)
         dtype = draw(st.sampled_from([np.float32, np.float64]))
         lead = draw(st.sampled_from([len(idx), len(idx) + 1]))
-        tail = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))
+        tail = tuple(draw(st.lists(DIM, max_size=3)))
         return op, lambda p: nx.add_rows(p, idx, nx.Parameter(np.ones((lead, *(tail or p.shape[1:])), dtype)))
     if op == "transpose":
         axes = tuple(draw(st.lists(st.integers(-1, 3), max_size=3, unique=True)))
@@ -143,16 +171,62 @@ def shape_op_calls(draw):
     if op == "take":
         idx = np.array(draw(st.lists(st.integers(-2, 6), max_size=4)), dtype=draw(st.sampled_from([np.int64, np.float32])))
         return op, lambda p: nx.take(p, idx)
-    axes = tuple(draw(st.lists(st.integers(-1, 3), max_size=2)))
-    size, stride, before, after = (draw(st.integers(-1, 4)) for _ in range(4))
-    return op, lambda p: nx.window(p, axes, size, stride, before, after)
+    if op in ("matmul", "linear"):
+        k, n = draw(DIM), draw(DIM)
+        if op == "matmul":
+            return op, lambda p: nx.matmul(p, ones(last(p) if fits else k, n))
+        return op, lambda p: nx.linear(p, ones(last(p) if fits else k, n), ones(n))
+    if op == "softmax":
+        axis = draw(st.integers(-1, 0) if fits else st.integers(-4, 4))
+        return op, lambda p: nx.softmax(p, axis=axis)
+    if op == "attention":
+        heads = draw(st.integers(1, 2) if fits else st.integers(0, 3))
+        lk, dv, causal = draw(DIM), draw(DIM) * (heads if fits else 1), draw(st.booleans())
+
+        def attend(p):
+            lead = p.shape[:-2]
+            return nx.attention(p, ones(*lead, lk, last(p)), ones(*lead, lk, dv), heads, causal=causal)
+        return op, attend
+    if op == "layer_norm":
+        d = draw(DIM)
+        return op, lambda p: nx.layer_norm(p, ones(last(p) if fits else d), ones(last(p) if fits else d))
+    if op == "cross_entropy":
+        # with `fits`, one in-range target per row of a [N, V] parameter
+        targets = np.array(draw(st.lists(st.integers(-1, 4), min_size=4 if fits else 0, max_size=4)), dtype=np.int64)
+        if fits:
+            return op, lambda p: nx.cross_entropy(p, targets[:p.shape[0]] % max(last(p), 1) if p.ndim else targets)
+        return op, lambda p: nx.cross_entropy(p, targets)
+    if fits:  # a window that fits more often than the wide draw below
+        axes = tuple(draw(st.lists(st.integers(0, 1), max_size=2, unique=True)))
+        size, stride, before, after = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(DIM), draw(DIM)
+    else:
+        axes = tuple(draw(st.lists(st.integers(-1, 3), max_size=2)))
+        size, stride, before, after = (draw(st.integers(-1, 4)) for _ in range(4))
+    if op == "window":
+        return op, lambda p: nx.window(p, axes, size, stride, before, after)
+    k, n = draw(DIM), draw(DIM)
+
+    def window_linear(p):
+        rows = size ** len(axes) * last(p) if fits else k
+        return nx.window_linear(p, ones(rows, n), ones(n), axes, size, stride, before, after)
+    return op, window_linear
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.lists(st.integers(1, 4), max_size=3), shape_op_calls())
+@settings(max_examples=800, deadline=None)
+@given(st.lists(DIM, max_size=3), shape_op_calls())
+@example([2, 0], ("matmul", lambda p: nx.matmul(p, ones(0, 3))))
+@example([2, 0], ("linear", lambda p: nx.linear(p, ones(0, 3), ones(3))))
+@example([2, 3, 0], ("window_linear", lambda p: nx.window_linear(p, ones(0, 2), ones(2), (0,), 2, 1, 1, 0)))
+@example([2, 0], ("mean", lambda p: nx.mean(p, axis=1)))
+@example([2, 0], ("softmax", lambda p: nx.softmax(p)))
+@example([0, 4], ("attention", lambda p: nx.attention(p, ones(3, 4), ones(3, 2), 2)))  # an empty output
+@example([2, 4], ("attention", lambda p: nx.attention(p, ones(0, 4), ones(0, 2), 2)))
+@example([0, 4], ("cross_entropy", lambda p: nx.cross_entropy(p, np.zeros(0, dtype=np.int64))))
+@example([3, 0], ("layer_norm", lambda p: nx.layer_norm(p, ones(0), ones(0))))
 def test_shape_contracts_hold_or_raise_named_errors(shape, call):
     # every input either computes, with a gradient of the input's shape, or
-    # raises ShapeError/DtypeError naming the op; never a bare numpy error
+    # raises ShapeError/DtypeError naming the op; never a bare numpy error, a
+    # false NonFiniteError or (under the pytest config) a RuntimeWarning
     name, apply = call
     p = nx.Parameter(np.arange(math.prod(shape), dtype=np.float32).reshape(shape))
     try:
@@ -289,6 +363,39 @@ def test_backward_through_freed_graph_raises():
     with pytest.raises(nx.BackwardError, match="mul"):
         l2.backward()
     assert np.array_equal(p.grad, [3.0, 3.0])
+
+
+def test_backward_frees_an_intermediate_once_its_readers_have_run():
+    p = nx.Parameter(np.ones((4, 8), dtype=np.float32))
+    h1 = nx.mul(p, 2.0)
+    h2 = nx.gelu(h1)
+    alive = weakref.ref(h2.data)
+    loss = nx.sum_(nx.mul(h2, 3.0))
+    del h2
+    states = []
+    run = h1._backward_fn
+
+    def probe(g):  # h1 runs after h2 and h2's one reader, the mul
+        states.append(alive() is None)
+        run(g)
+
+    h1._backward_fn = probe
+    loss.backward()
+    assert states == [True]
+    assert p.grad is not None
+
+
+def test_a_recorded_gelu_keeps_no_buffer_beyond_its_output():
+    a = nx.Parameter(np.ones((256, 256), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = nx.gelu(a)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert grown <= 1.2 * out.data.nbytes
 
 
 def test_add_gives_each_parent_its_own_gradient():
