@@ -8,6 +8,7 @@ model outputs unchanged.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -64,26 +65,26 @@ class AttributeProbe:
         return {a: hits[a] / max(1, n) for a in PROBE_ATTRS}
 
 
-def _fit_softmax(x: np.ndarray, y: np.ndarray, classes: int, *, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax regression from zero weights with AdamW at lr 0.1; returns (W [F, C], b [C])."""
-    w = nx.Parameter(np.zeros((x.shape[1], classes), dtype=np.float32))
-    b = nx.Parameter(np.zeros(classes, dtype=np.float32))
-    xt = nx.Tensor(x)
-    nx.fit([w, b], lambda step: nx.cross_entropy(nx.linear(xt, w, b), y),
-           steps=steps, lr=0.1, weight_decay=1e-4)
-    return w.data.copy(), b.data.copy()
-
-
 def train_probe(encoder: pc.FrameEncoder, *, n_train: int = 600, steps: int = 300) -> AttributeProbe:
-    """Fit one softmax classifier per attribute on `n_train` 8-frame renders of a fixed seed."""
+    """Fit one softmax classifier per attribute on `n_train` 8-frame renders of a fixed seed.
+
+    The classifiers start from zero weights and train together in one AdamW
+    run at lr 0.1 on the sum of their cross-entropies; they share no
+    parameter, so each one's gradient and update is that of its own loss."""
     rng = np.random.default_rng(515)
     specs = [sd.random_spec(rng) for _ in range(n_train)]
-    feats = np.stack([probe_features(encoder, sd.render(s, 8)) for s in specs])
-    probe = AttributeProbe(encoder=encoder)
-    for attr, names in PROBE_ATTRS.items():
-        targets = np.array([names.index(getattr(s, attr)) for s in specs])
-        probe.weights[attr] = _fit_softmax(feats, targets, len(names), steps=steps)
-    return probe
+    x = nx.Tensor(np.stack([probe_features(encoder, sd.render(s, 8)) for s in specs]))
+    heads = {attr: (nx.Parameter(np.zeros((x.shape[1], len(names)), dtype=np.float32)),
+                    nx.Parameter(np.zeros(len(names), dtype=np.float32)),
+                    np.array([names.index(getattr(s, attr)) for s in specs]))
+             for attr, names in PROBE_ATTRS.items()}
+
+    def loss_at(step: int) -> nx.Tensor:
+        losses = [nx.cross_entropy(nx.linear(x, w, b), y) for w, b, y in heads.values()]
+        return functools.reduce(nx.add, losses)
+
+    nx.fit([p for w, b, _ in heads.values() for p in (w, b)], loss_at, steps=steps, lr=0.1, weight_decay=1e-4)
+    return AttributeProbe(encoder=encoder, weights={attr: (w.data, b.data) for attr, (w, b, _) in heads.items()})
 
 
 def probe_accuracy_on_renders(probe: AttributeProbe) -> dict:

@@ -121,7 +121,11 @@ class Embedding(Module):
 
 
 class MultiHeadAttention(Module):
-    """Self- or cross-attention. For cross-attention pass `kv` (dim may differ)."""
+    """Self- or cross-attention. For cross-attention pass `kv` (dim may differ).
+
+    The key projection `wk` [kv_dim, d_model] has no bias: a key bias b adds
+    q . b to every score of a query's row, which the softmax cancels, so its
+    gradient is 0 and it could change no output."""
 
     def __init__(self, d_model: int, heads: int, rng: np.random.Generator, *, kv_dim: int | None = None):
         super().__init__()
@@ -130,13 +134,13 @@ class MultiHeadAttention(Module):
         kv_dim = kv_dim if kv_dim is not None else d_model
         self.heads = heads
         self.wq = Linear(d_model, d_model, rng, std=TRANSFORMER_STD)
-        self.wk = Linear(kv_dim, d_model, rng, std=TRANSFORMER_STD)
+        self.wk = Parameter(normal_init(rng, (kv_dim, d_model), TRANSFORMER_STD))
         self.wv = Linear(kv_dim, d_model, rng, std=TRANSFORMER_STD)
         self.wo = Linear(d_model, d_model, rng, std=TRANSFORMER_STD)
 
     def __call__(self, x: Tensor, kv: Tensor | None = None, *, causal: bool = False) -> Tensor:
         src = kv if kv is not None else x
-        out = T.attention(self.wq(x), self.wk(src), self.wv(src), self.heads, causal=causal)
+        out = T.attention(self.wq(x), T.matmul(src, self.wk), self.wv(src), self.heads, causal=causal)
         return self.wo(out)
 
 

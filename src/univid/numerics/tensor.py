@@ -97,7 +97,7 @@ _REARRANGING = frozenset({"reshape", "transpose", "slice", "concat", "window", "
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_op", "_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -109,7 +109,6 @@ class Tensor:
         self._parents: tuple = ()
         self._backward_fn = None
         self._op = "leaf"
-        self._done = False
 
     # -- construction ------------------------------------------------------
 
@@ -121,7 +120,6 @@ class Tensor:
         out.data = data
         out.grad = None
         out._op = op
-        out._done = False
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
@@ -180,9 +178,9 @@ class Tensor:
         """Backpropagate from a scalar loss, accumulating into .grad fields."""
         if self.data.size != 1:
             raise BackwardError("backward: loss must be scalar")
-        if self._done:
-            raise BackwardError("backward: called twice on the same graph without reset")
-        self._done = True
+        if not self.requires_grad:
+            raise BackwardError("backward: the loss has no graph; it was built under no_grad "
+                                "or from tensors that need no gradient")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -432,30 +430,25 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._from_op(out_data, tuple(tensors), "concat", bwd)
 
 
-def _window_pairs(op: str, a: Tensor, axes: tuple, size: int, stride: int, before: int, after: int):
-    """Check a window over `axes` of `a` and return (the leading shape of its
-    output, its pairs) from `_window_table`. The checks run on every call, so
-    a bad configuration raises naming `op` however warm the table cache is."""
-    if a.ndim < 1 or not all(0 <= ax < a.ndim - 1 for ax in axes) or len(set(axes)) != len(axes):
-        raise ShapeError(op, f"axes {axes} must be distinct and lie before the last (channel) axis of {a.shape}")
+@functools.lru_cache(maxsize=64)
+def _window_table(op: str, shape: tuple, axes: tuple, size: int, stride: int, before: int, after: int):
+    """Check a window over `axes` of an input of `shape`, raising ShapeError
+    naming `op`, and return (the leading shape of its output, its pairs). A
+    pair (i, destination, source) covers the in-range part of window entry i,
+    entries in channel order: `source` indexes the input, `destination` the
+    output, both on every axis but the channel axis. Window j of entry k reads
+    source j * stride + k - before; an entry wholly in the padding has no pair.
+    Cached: the checks read the key alone and a call that raised is not
+    stored, so a bad configuration raises however warm the cache is; the
+    result is built of tuples and slices, so no caller can change it."""
+    if len(shape) < 1 or not all(0 <= ax < len(shape) - 1 for ax in axes) or len(set(axes)) != len(axes):
+        raise ShapeError(op, f"axes {axes} must be distinct and lie before the last (channel) axis of {shape}")
     if size < 1 or stride < 1 or before < 0 or after < 0:
         raise ShapeError(op, f"size {size} and stride {stride} must be positive, "
                              f"padding ({before}, {after}) not negative")
     # windows per axis; none when the padded axis is shorter than one window
-    if any(a.shape[ax] + before + after < size for ax in axes):
-        raise ShapeError(op, f"window of {size} is longer than an axis of {a.shape} padded by ({before}, {after})")
-    return _window_table(a.shape, axes, size, stride, before, after)
-
-
-@functools.lru_cache(maxsize=64)
-def _window_table(shape: tuple, axes: tuple, size: int, stride: int, before: int, after: int):
-    """(The leading shape of the output, its pairs) of a checked window over
-    `axes` of an input of `shape`. A pair (i, destination, source) covers the
-    in-range part of window entry i, entries in channel order: `source`
-    indexes the input, `destination` the output, both on every axis but the
-    channel axis. Window j of entry k reads source j * stride + k - before; an
-    entry wholly in the padding has no pair. Cached: the result is built of
-    tuples and slices, so no caller can change it."""
+    if any(shape[ax] + before + after < size for ax in axes):
+        raise ShapeError(op, f"window of {size} is longer than an axis of {shape} padded by ({before}, {after})")
     counts = {ax: (shape[ax] + before + after - size) // stride + 1 for ax in axes}
     pairs = []
     for i, offsets in enumerate(itertools.product(range(size), repeat=len(axes))):
@@ -486,7 +479,7 @@ def window(a: Tensor, axes: tuple, size: int, stride: int, before: int, after: i
     of `a`'s shape.
     """
     axes = tuple(axes)
-    lead, pairs = _window_pairs("window", a, axes, size, stride, before, after)
+    lead, pairs = _window_table("window", a.shape, axes, size, stride, before, after)
     c = a.shape[-1]
     out_data = np.zeros(lead + (size ** len(axes) * c,), dtype=a.dtype)
     for i, dst, src in pairs:
@@ -517,7 +510,7 @@ def window_linear(a: Tensor, w: Tensor, b: Tensor, axes: tuple, size: int, strid
         raise DtypeError("window_linear", f"dtype mismatch: {a.dtype}, {w.dtype}, {b.dtype}")
     if a.ndim < 2:
         raise ShapeError("window_linear", f"input must be >=2-d, got {a.shape}")
-    lead, pairs = _window_pairs("window_linear", a, axes, size, stride, before, after)
+    lead, pairs = _window_table("window_linear", a.shape, axes, size, stride, before, after)
     c = a.shape[-1]
     if w.ndim != 2 or w.shape[0] != size ** len(axes) * c or b.shape != w.shape[1:]:
         raise ShapeError("window_linear", f"cannot apply weight {w.shape} and bias {b.shape} "

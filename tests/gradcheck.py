@@ -4,7 +4,9 @@ The checker is the independent oracle for the autodiff engine: it re-evaluates
 the loss with perturbed parameter entries and never inspects the recorded
 graph. Run fragments in float64; float32 rounding drowns the h^2 truncation.
 Modules build float32 parameters, so `as_float64` recasts a module's
-parameters in place before its gradients are checked.
+parameters in place before its gradients are checked. `dead_parameters`
+finds the trainable parameters that a loss barely reaches, such as a bias
+whose true gradient is 0.
 """
 
 from __future__ import annotations
@@ -55,3 +57,16 @@ def grad_check(loss_fn, params: list[nx.Parameter]) -> list[float]:
             denom = max(np.abs(a).max(initial=0.0), np.abs(num).max(initial=0.0), 1e-12)
             errors.append(float(np.abs(a - num).max(initial=0.0) / denom))
     return errors
+
+
+def dead_parameters(module: nx.Module, loss_fn, floor: float) -> dict[str, float]:
+    """Each trainable parameter of `module` whose largest |gradient| under
+    `loss_fn()` is at most `floor` times the largest of any of them, with
+    that ratio; `{}` when every parameter is live."""
+    params = [p for p in module.parameters() if p.requires_grad]
+    for p in params:
+        p.grad = np.zeros_like(p.data)
+    loss_fn().backward()
+    peaks = {p.name: float(np.abs(p.grad).max(initial=0.0)) for p in params}
+    top = max(peaks.values())
+    return {name: peak / top for name, peak in peaks.items() if peak <= floor * top}

@@ -1,5 +1,7 @@
 """Attribute probes on a tiny, untrained frame encoder."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,15 @@ def test_probe_weights_repeat_bitwise():
     for attr in evals.PROBE_ATTRS:
         for x, y in zip(a.weights[attr], b.weights[attr]):
             assert x.tobytes() == y.tobytes()
+
+
+def test_probe_weights_are_pinned_by_digest():
+    # the four heads train in one fit; they share no parameter, so each
+    # head's weights are bitwise those of a fit of its own loss alone
+    h = hashlib.sha256()
+    for attr, (w, b) in small_probe().weights.items():
+        h.update(attr.encode() + w.tobytes() + b.tobytes())
+    assert h.hexdigest() == "6ef97fa41795692a81c1aecece485a3f3834fe20c755fa7538da62e5aa8f2bc5"
 
 
 def test_classify_names_and_accuracy_range():

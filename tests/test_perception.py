@@ -1,7 +1,9 @@
 """Causal video autoencoder: causality, frame-count rules, shape errors and
 the latent normalization round trip; the frame encoder's shape rules and unit
-embeddings; both pretraining entry points at tiny size, and the VAE's
-latent-statistics pass in chunks of the training batch."""
+embeddings; both models' untrained no-graph outputs pinned by digest, and a
+gradient reaching every trainable parameter of each; both pretraining entry
+points at tiny size, and the VAE's latent-statistics pass in chunks of the
+training batch."""
 
 import functools
 import hashlib
@@ -10,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gradcheck import dead_parameters
 from univid import numerics as nx
 from univid import perception as pc
 from univid import synthdata as sd
@@ -151,6 +154,49 @@ def test_set_latent_stats_rejects_bad_stats(mean, std):
     assert np.array_equal(model.latent_std.data, np.ones(pc.LATENT_CHANNELS))
 
 
+# SHA-256 of the default-seed models' outputs under no_grad, the path that
+# perception_infer requests take: the encoder's embeddings of four 8-frame
+# renders, and the VAE's reconstruction of each of them.
+UNTRAINED_FORWARD_DIGESTS = {
+    "embed_frames": "ade3be7c8bb36a3e3c3f49dabc3bf699f6a0ede351b3bb121dfaa3e23528d0d2",
+    "vae_round_trip": "ead2832b436b0d3c5dbd6362927bfdeb8614b98f26b4882628b95dd061f7dc70",
+}
+
+
+@pytest.mark.parametrize("name", UNTRAINED_FORWARD_DIGESTS)
+def test_untrained_forward_is_pinned_by_digest(name):
+    videos = [video(8, seed) for seed in range(4)]
+    with nx.no_grad():
+        if name == "embed_frames":
+            out = pc.FrameEncoder().embed_frames(np.concatenate(videos)).numpy()
+        else:
+            model = pc.CausalVideoVae()
+            out = np.stack([model.decode(model.encode(v)).numpy() for v in videos])
+    assert hashlib.sha256(out.tobytes()).hexdigest() == UNTRAINED_FORWARD_DIGESTS[name]
+
+
+def contrastive_loss_of(model: pc.FrameEncoder):
+    frames = np.stack([video(8, seed)[0] for seed in range(4)])
+    rng = np.random.default_rng(0)
+    views = np.stack([pc.augment_frame(f, rng) for f in frames])
+    return lambda: pc.contrastive_loss(model, frames, views)
+
+
+def reconstruction_loss_of(model: pc.CausalVideoVae):
+    videos = np.stack([video(8, 1), video(8, 2)])
+    return lambda: nx.mse(model.decode_batch(model.encode_batch(videos)), videos)
+
+
+@pytest.mark.parametrize("model, loss_of", [(pc.FrameEncoder, contrastive_loss_of),
+                                            (pc.CausalVideoVae, reconstruction_loss_of)])
+def test_every_trainable_parameter_gets_a_gradient(model, loss_of):
+    # a parameter no output depends on, such as a key bias (softmax cancels
+    # it), reads float32 noise, 2e-11 to 5e-11 of the largest gradient; the
+    # least-reached live ones read 3.0e-4 (encoder) and 3.5e-3 (VAE)
+    m = model()
+    assert dead_parameters(m, loss_of(m), 1e-6) == {}
+
+
 # -- pretraining entry points ------------------------------------------------------
 
 PRETRAIN = {
@@ -184,7 +230,7 @@ def test_pretrain_repeats_bitwise(name):
 # kernel, or the order in which gradients are summed, fails here.
 PRETRAIN_DIGESTS = {
     "vae": "80a6010bd9f858f231926b68e8668c2685cb5b309f82d50832ac32759467d314",
-    "encoder": "39d37d3d2a4a99c8305624fb60adf1b3afa91d7c48db7ed358c9be206031b4da",
+    "encoder": "10de0d6fb8dc1fbc6659d260d8bbf5cc2165e0d201f624756662126dba5505c0",
 }
 
 
@@ -229,13 +275,67 @@ IM2COL_VAE_NORMS = {
 }
 
 
+def assert_within_1e_5(name: str, history: list[float], norms: dict[str, float]) -> None:
+    """The tiny run `name` has `history` and each parameter's float64 L2 norm in `norms`, within 1e-5 relative."""
+    model, got = pretrained(name)
+    assert np.allclose(got, history, rtol=1e-5, atol=0.0)
+    got_norms = {p.name: float(np.linalg.norm(p.data.astype(np.float64))) for p in model.parameters()}
+    assert got_norms.keys() == norms.keys()
+    for param, expected in norms.items():
+        assert abs(got_norms[param] - expected) <= 1e-5 * expected, param
+
+
 def test_pretrain_vae_stays_within_1e_5_of_the_im2col_vae():
-    model, history = pretrained("vae")
-    assert np.allclose(history, IM2COL_VAE_HISTORY, rtol=1e-5, atol=0.0)
-    norms = {p.name: float(np.linalg.norm(p.data.astype(np.float64))) for p in model.parameters()}
-    assert norms.keys() == IM2COL_VAE_NORMS.keys()
-    for name, expected in IM2COL_VAE_NORMS.items():
-        assert abs(norms[name] - expected) <= 1e-5 * expected, name
+    assert_within_1e_5("vae", IM2COL_VAE_HISTORY, IM2COL_VAE_NORMS)
+
+
+# The tiny encoder run as it was when every key projection had a bias: that
+# bias's true gradient is 0, but AdamW, which divides a gradient by its own
+# RMS, walked it on float32 noise to |b| of 5.7e-5, so dropping it moves the
+# other parameters' rounding. Norms under today's names (`attn.wk` was
+# `attn.wk.weight`); the two biases are gone.
+KEY_BIAS_ENCODER_HISTORY = [1.9410690069198608, 1.0066277980804443, 1.6999073028564453]
+KEY_BIAS_ENCODER_NORMS = {
+    "pos": 0.6544167778463555,
+    "patch_embed.weight": 8.069549452171323,
+    "patch_embed.bias": 0.02792586996862302,
+    "blocks.0.ln1.gamma": 7.9941927238125485,
+    "blocks.0.ln1.beta": 0.027039408182195655,
+    "blocks.0.attn.wq.weight": 1.300963327457667,
+    "blocks.0.attn.wq.bias": 0.027785793631288455,
+    "blocks.0.attn.wk": 1.284325799832456,
+    "blocks.0.attn.wv.weight": 1.2869714164468826,
+    "blocks.0.attn.wv.bias": 0.02733184064129789,
+    "blocks.0.attn.wo.weight": 1.2745598039149428,
+    "blocks.0.attn.wo.bias": 0.02686073934908332,
+    "blocks.0.ln2.gamma": 8.000097860189861,
+    "blocks.0.ln2.beta": 0.02483415739311187,
+    "blocks.0.mlp.fc1.weight": 2.594148848763731,
+    "blocks.0.mlp.fc1.bias": 0.05178023681794943,
+    "blocks.0.mlp.fc2.weight": 2.5709479307529404,
+    "blocks.0.mlp.fc2.bias": 0.024906714802525414,
+    "blocks.1.ln1.gamma": 8.00163382752028,
+    "blocks.1.ln1.beta": 0.025977866064298083,
+    "blocks.1.attn.wq.weight": 1.300380302835425,
+    "blocks.1.attn.wq.bias": 0.02631710053126455,
+    "blocks.1.attn.wk": 1.2985519674884651,
+    "blocks.1.attn.wv.weight": 1.2913067880959161,
+    "blocks.1.attn.wv.bias": 0.023834007733184094,
+    "blocks.1.attn.wo.weight": 1.2929638673026795,
+    "blocks.1.attn.wo.bias": 0.022948285598805466,
+    "blocks.1.ln2.gamma": 7.99789037230087,
+    "blocks.1.ln2.beta": 0.023315011782028317,
+    "blocks.1.mlp.fc1.weight": 2.5957474107103446,
+    "blocks.1.mlp.fc1.bias": 0.04224288358587432,
+    "blocks.1.mlp.fc2.weight": 2.606239441963216,
+    "blocks.1.mlp.fc2.bias": 0.0166494412945907,
+    "out.weight": 8.036509821323714,
+    "out.bias": 0.023607232248564647,
+}
+
+
+def test_pretrain_encoder_stays_within_1e_5_of_the_key_bias_encoder():
+    assert_within_1e_5("encoder", KEY_BIAS_ENCODER_HISTORY, KEY_BIAS_ENCODER_NORMS)
 
 
 def test_vae_builds_no_window_tensor(monkeypatch):
