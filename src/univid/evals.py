@@ -28,8 +28,7 @@ PROBE_ATTRS = {
 
 def probe_features(encoder: pc.FrameEncoder, video: np.ndarray) -> np.ndarray:
     """[mean frame embedding, mean successive embedding delta] -> [2 * dim]."""
-    with nx.no_grad():
-        emb = encoder.embed_frames(np.asarray(video, dtype=np.float32)).numpy()
+    emb = encoder.encode_frames(video).numpy()
     mean = emb.mean(axis=0)
     if emb.shape[0] > 1:
         delta = np.diff(emb, axis=0).mean(axis=0) * 8.0  # deltas are small; rescale

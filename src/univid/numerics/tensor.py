@@ -28,7 +28,10 @@ any array it names. `gelu` keeps its input only and recomputes its tanh term;
 its scores. `backward` pops each node from its topological list, runs it, and
 clears its closure and parents, so nothing in the pass holds it afterwards:
 an activation is freed once the last node that reads it has run, unless the
-caller still holds it.
+caller still holds it. Only `Tensor._accumulate` stores a gradient: a
+non-leaf adopts its first one as it is handed over, a leaf stores a copy, and
+each later one is summed into a new array. None is written in place, so a
+closure may hand one array, or views of it, to several parents.
 """
 
 from __future__ import annotations
@@ -159,18 +162,15 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self._op})"
 
-    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add `g`, which has this tensor's shape, to the gradient.
-
-        The first `g` becomes the gradient. By default it is copied, so it may
-        be a view or an array shared with another parent. With `owned` it is
-        adopted as it is: the caller promises that `g` is an array it has just
-        allocated, that it hands to this tensor only and never reads or writes
-        again, because later gradients are added into it in place."""
+    def _accumulate(self, g: np.ndarray) -> None:
+        """Add `g`, which has this tensor's shape, to the gradient. A leaf
+        stores a copy of its first `g`, as its `.grad` outlives the pass; any
+        other tensor adopts it. A later `g` is summed into a new array."""
         if self.grad is None:
-            self.grad = np.asarray(g, dtype=self.data.dtype) if owned else np.array(g, dtype=self.data.dtype)
+            store = np.array if self._op == "leaf" else np.asarray
+            self.grad = store(g, dtype=self.data.dtype)
         else:
-            self.grad += g
+            self.grad = np.add(self.grad, g, out=np.empty_like(self.grad))
 
     # -- autodiff ----------------------------------------------------------
 
@@ -269,7 +269,7 @@ def sub(a: Tensor, b) -> Tensor:
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape), owned=True)
+            b._accumulate(_unbroadcast(-g, b.shape))
 
     return Tensor._from_op(out_data, (a, b), "sub", bwd)
 
@@ -281,9 +281,9 @@ def mul(a: Tensor, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape), owned=True)
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return Tensor._from_op(out_data, (a, b), "mul", bwd)
 
@@ -328,7 +328,7 @@ def gelu(a: Tensor) -> Tensor:
         t *= 0.5
         d += t
         d *= g
-        a._accumulate(d, owned=True)
+        a._accumulate(d)
 
     return Tensor._from_op(out_data, (a,), "gelu", bwd)
 
@@ -357,9 +357,9 @@ def _flat_matmul_grads(g: np.ndarray, x: Tensor, w: Tensor) -> None:
     """Gradients of x [..., k] @ w [k, n], computed as one flat gemm each."""
     g2 = _rows(g)
     if x.requires_grad:
-        x._accumulate((g2 @ w.data.T).reshape(x.shape), owned=True)
+        x._accumulate((g2 @ w.data.T).reshape(x.shape))
     if w.requires_grad:
-        w._accumulate(_rows(x.data).T @ g2, owned=True)
+        w._accumulate(_rows(x.data).T @ g2)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -375,7 +375,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape), owned=True)
+            b._accumulate(_unbroadcast(g, b.shape))
         _flat_matmul_grads(g, x, w)
 
     return Tensor._from_op(out_data, (x, w, b), "linear", bwd)
@@ -489,7 +489,7 @@ def window(a: Tensor, axes: tuple, size: int, stride: int, before: int, after: i
         ga = np.zeros(a.shape, dtype=a.dtype)
         for i, dst, src in pairs:
             ga[src] += g[dst + (slice(i * c, (i + 1) * c),)]
-        a._accumulate(ga, owned=True)
+        a._accumulate(ga)
 
     return Tensor._from_op(out_data, (a,), "window", bwd)
 
@@ -525,13 +525,13 @@ def window_linear(a: Tensor, w: Tensor, b: Tensor, axes: tuple, size: int, strid
 
     def bwd(g):
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape), owned=True)
+            b._accumulate(_unbroadcast(g, b.shape))
         g_rows = _rows(g)
         if a.requires_grad:
             ga = np.zeros(a.shape, dtype=a.dtype)
             for i, dst, src in pairs:
                 ga[src] += (g_rows @ w_entries[i].T).reshape(lead + (c,))[dst]
-            a._accumulate(ga, owned=True)
+            a._accumulate(ga)
         if w.requires_grad:
             # each entry's gradient sums over every output row, with zero rows
             # where the entry reads padding, as the composition's gemm does.
@@ -545,7 +545,7 @@ def window_linear(a: Tensor, w: Tensor, b: Tensor, axes: tuple, size: int, strid
                 entry.fill(0)
                 entry[dst] = a.data[src]
                 gw[i * c:(i + 1) * c] = _rows(entry).T @ g_rows
-            w._accumulate(gw, owned=True)
+            w._accumulate(gw)
 
     return Tensor._from_op(out_data, (a, w, b), "window_linear", bwd)
 
@@ -570,7 +570,7 @@ def slice_(a: Tensor, key) -> Tensor:
     def bwd(g):
         buf = np.zeros_like(a.data)
         buf[key] = g
-        a._accumulate(buf, owned=True)
+        a._accumulate(buf)
 
     return Tensor._from_op(out_data, (a,), "slice", bwd)
 
@@ -589,7 +589,7 @@ def take(a: Tensor, indices: np.ndarray) -> Tensor:
     def bwd(g):
         buf = np.zeros_like(a.data)
         np.add.at(buf, idx, g)
-        a._accumulate(buf, owned=True)
+        a._accumulate(buf)
 
     return Tensor._from_op(out_data, (a,), "take", bwd)
 
@@ -635,10 +635,10 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         gg = g
         if axes is not None and not keepdims:
             gg = np.expand_dims(g, axes)
-        # a C-order copy: `_accumulate` would keep the view's memory order,
-        # which is not C when a middle axis is broadcast, and later matmuls
-        # on that gradient would round differently
-        a._accumulate(np.broadcast_to(gg, a.shape).copy(), owned=True)
+        # a C-order copy, for rounding alone: the broadcast view, whether
+        # adopted or copied in its own order, is not C-order when a middle
+        # axis is broadcast, and later matmuls on it would round differently
+        a._accumulate(np.broadcast_to(gg, a.shape).copy())
 
     return Tensor._from_op(out_data, (a,), "sum", bwd)
 
@@ -677,7 +677,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     out_data = _softmax(a.data, axis)
 
     def bwd(g):
-        a._accumulate(_softmax_grad(out_data, g, axis), owned=True)
+        a._accumulate(_softmax_grad(out_data, g, axis))
 
     return Tensor._from_op(out_data, (a,), "softmax", bwd)
 
@@ -704,7 +704,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         if beta.requires_grad:
             beta._accumulate(_unbroadcast(g, beta.shape))
         if gamma.requires_grad:
-            gamma._accumulate(_unbroadcast(g * xhat, gamma.shape), owned=True)
+            gamma._accumulate(_unbroadcast(g * xhat, gamma.shape))
         if x.requires_grad:
             # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * gamma
             gh = g * gamma.data
@@ -714,7 +714,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             gh -= centre
             gh -= t
             gh *= inv
-            x._accumulate(gh, owned=True)
+            x._accumulate(gh)
 
     return Tensor._from_op(out_data, (x, gamma, beta), "layer_norm", bwd)
 
@@ -781,13 +781,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, *, causal: bool = Fal
             g_scores = _softmax_grad(p, np.matmul(g_heads, vh.swapaxes(-1, -2)), -1)
             g_scores *= scale
             if q.requires_grad:
-                q._accumulate(merge(np.matmul(g_scores, kh)), owned=True)
+                q._accumulate(merge(np.matmul(g_scores, kh)))
             if k.requires_grad:
                 # the transpose of q^T g, laid out as it is in memory, as the
                 # composition gave it: k's producer sums its gradient in that order
-                k._accumulate(merge(np.matmul(qh.swapaxes(-1, -2), g_scores).swapaxes(-1, -2)), owned=True)
+                k._accumulate(merge(np.matmul(qh.swapaxes(-1, -2), g_scores).swapaxes(-1, -2)))
         if v.requires_grad:
-            v._accumulate(merge(np.matmul(p.swapaxes(-1, -2), g_heads)), owned=True)
+            v._accumulate(merge(np.matmul(p.swapaxes(-1, -2), g_heads)))
 
     return Tensor._from_op(out_data, (q, k, v), "attention", bwd)
 
@@ -804,7 +804,7 @@ def l2_normalize(a: Tensor) -> Tensor:
         # the composition's closures in its backward order: div's gradient of
         # `a`, then the root's through sqrt and the sum's broadcast, which
         # mul(a, a) multiplies by `a` and adds twice
-        a._accumulate(g / root, owned=True)
+        a._accumulate(g / root)
         g_squares = _unbroadcast(-g * x / (root * root), root.shape) * 0.5 / root * x
         a._accumulate(g_squares)
         a._accumulate(g_squares)
@@ -837,7 +837,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     def bwd(g):
         probs = np.exp(logp)
         probs[np.arange(n), t] -= 1.0
-        logits._accumulate(probs * (g / n), owned=True)
+        logits._accumulate(probs * (g / n))
 
     return Tensor._from_op(out_data, (logits,), "cross_entropy", bwd)
 

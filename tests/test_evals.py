@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from univid import evals
+from univid import numerics as nx
 from univid import perception as pc
 from univid import synthdata as sd
 
@@ -35,20 +36,22 @@ def test_classify_names_and_accuracy_range():
     probe = small_probe()
     rng = np.random.default_rng(0)
     specs = [sd.random_spec(rng) for _ in range(4)]
-    videos = [sd.render(s, 2) for s in specs]
+    videos = [sd.render(s, 8) for s in specs]
     pred = probe.classify(videos[0])
     assert pred.keys() == evals.PROBE_ATTRS.keys()
     for attr, names in evals.PROBE_ATTRS.items():
         assert pred[attr] in names
     for value in probe.accuracy(videos, specs).values():
         assert 0.0 <= value <= 1.0
+    with pytest.raises(nx.ShapeError, match="encode_frames"):
+        probe.classify(sd.render(specs[0], 2))  # not a frame count the encoder takes
 
 
 def test_accuracy_rejects_videos_and_specs_of_different_lengths():
     probe = small_probe()
     rng = np.random.default_rng(1)
     specs = [sd.random_spec(rng) for _ in range(4)]
-    videos = [sd.render(s, 2) for s in specs]
+    videos = [sd.render(s, 8) for s in specs]
     with pytest.raises(ValueError):
         probe.accuracy(videos, specs[:3])
     with pytest.raises(ValueError):
@@ -59,5 +62,5 @@ def test_accuracy_takes_a_generator_of_videos():
     probe = small_probe()
     rng = np.random.default_rng(2)
     specs = [sd.random_spec(rng) for _ in range(6)]
-    videos = [sd.render(s, 2) for s in specs]
-    assert probe.accuracy((sd.render(s, 2) for s in specs), specs) == probe.accuracy(videos, specs)
+    videos = [sd.render(s, 8) for s in specs]
+    assert probe.accuracy((sd.render(s, 8) for s in specs), specs) == probe.accuracy(videos, specs)

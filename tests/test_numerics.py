@@ -200,20 +200,27 @@ def shape_op_calls(draw):
         return op, lambda p: nx.softmax(p, axis=axis)
     if op == "attention":
         heads = draw(st.integers(1, 2) if fits else st.integers(0, 3))
-        lk, dv, causal = draw(DIM), draw(DIM) * (heads if fits else 1), draw(st.booleans())
+        lk = draw(st.integers(1, 4) if fits else DIM)
+        dv, causal = draw(DIM) * (heads if fits else 1), draw(st.booleans())
 
         def attend(p):
+            if fits:  # at least [Lq, D], with Lk = Lq when causal
+                p = p if p.ndim >= 2 else nx.reshape(p, (1, p.size))
+            keys = p.shape[-2] if fits and causal else lk
             lead = p.shape[:-2]
-            return nx.attention(p, ones(*lead, lk, last(p)), ones(*lead, lk, dv), heads, causal=causal)
+            return nx.attention(p, ones(*lead, keys, last(p)), ones(*lead, keys, dv), heads, causal=causal)
         return op, attend
     if op == "layer_norm":
         d = draw(DIM)
         return op, lambda p: nx.layer_norm(p, ones(last(p) if fits else d), ones(last(p) if fits else d))
     if op == "cross_entropy":
-        # with `fits`, one in-range target per row of a [N, V] parameter
+        # with `fits`, one in-range target per row of a [N, V] view of the parameter
         targets = np.array(draw(st.lists(st.integers(-1, 4), min_size=4 if fits else 0, max_size=4)), dtype=np.int64)
         if fits:
-            return op, lambda p: nx.cross_entropy(p, targets[:p.shape[0]] % max(last(p), 1) if p.ndim else targets)
+            def rows_by_last(p):
+                n, v = (math.prod(p.shape[:-1]), last(p)) if p.ndim else (1, 1)
+                return nx.cross_entropy(nx.reshape(p, (n, v)), np.resize(targets, n) % max(v, 1))
+            return op, rows_by_last
         return op, lambda p: nx.cross_entropy(p, targets)
     if fits:  # axes before p's channel axis, the window no longer than the shortest padded one
         drawn = tuple(draw(st.lists(st.integers(0, 1), max_size=2, unique=True)))
@@ -453,6 +460,20 @@ def test_reshape_gives_its_parent_its_own_gradient():
     assert np.array_equal(loss.grad, np.ones(()))
 
 
+def test_a_gradient_handed_to_several_parents_is_never_written():
+    # the outer add hands one array to the inner add and to p, and the inner
+    # add hands it on to q: summing p's second gradient into it in place
+    # would give b.grad == 6
+    a = nx.Tensor(np.ones(3, np.float32), requires_grad=True)
+    b = nx.Tensor(np.ones(3, np.float32), requires_grad=True)
+    p, q = nx.mul(a, 2.0), nx.mul(b, 3.0)
+    nx.sum_(nx.add(nx.add(p, q), p)).backward()
+    assert np.array_equal(a.grad, np.full(3, 4.0))
+    assert np.array_equal(b.grad, np.full(3, 3.0))
+    a._accumulate(np.ones(3, np.float64))
+    assert a.grad.dtype == np.float32 and np.array_equal(a.grad, np.full(3, 5.0))
+
+
 def test_linear_is_matmul_plus_bias_bitwise():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, 5, 6)).astype(np.float32)
@@ -603,9 +624,9 @@ def matmul_ref(a, b):
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(tz._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape), owned=True)
+            a._accumulate(tz._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
         if b.requires_grad:
-            b._accumulate(tz._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape), owned=True)
+            b._accumulate(tz._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return tz.Tensor._from_op(np.matmul(a.data, b.data), (a, b), "matmul", bwd)
 
@@ -683,7 +704,7 @@ def normalize_ref(a):
 
     def bwd(g):
         gx = inv * (g - g.mean(axis=-1, keepdims=True) - out_data * (g * out_data).mean(axis=-1, keepdims=True))
-        a._accumulate(gx.astype(a.dtype, copy=False), owned=True)
+        a._accumulate(gx.astype(a.dtype, copy=False))
 
     return tz.Tensor._from_op(out_data, (a,), "layer_norm", bwd)
 
@@ -707,9 +728,9 @@ def div_ref(a, b):
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(tz._unbroadcast(g / b.data, a.shape), owned=True)
+            a._accumulate(tz._unbroadcast(g / b.data, a.shape))
         if b.requires_grad:
-            b._accumulate(tz._unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
+            b._accumulate(tz._unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return tz.Tensor._from_op(a.data / b.data, (a, b), "div", bwd)
 
@@ -719,7 +740,7 @@ def sqrt_ref(a):
     out_data = np.sqrt(a.data)
 
     def bwd(g):
-        a._accumulate(g * 0.5 / out_data, owned=True)
+        a._accumulate(g * 0.5 / out_data)
 
     return tz.Tensor._from_op(out_data, (a,), "sqrt", bwd)
 

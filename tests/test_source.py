@@ -21,7 +21,13 @@ an unpassed option feeds, is flagged too.
 
 Every graph node, each tag that `numerics/tensor.py` passes to
 `Tensor._from_op`, has a finite-difference case in `tests/test_numerics.py`:
-a `PRIMITIVE_CASES` key that is the tag or starts with the tag and "_"."""
+a `PRIMITIVE_CASES` key that is the tag or starts with the tag and "_".
+
+Nothing writes a stored gradient in place: no code under src/ writes into a
+`.grad` attribute by an augmented assignment, a store into its subscript or
+an `out=`, and no function in `numerics/tensor.py` so writes its incoming
+gradient `g`, which `Tensor._accumulate` may have adopted and may share with
+other parents."""
 
 import ast
 import importlib.util
@@ -49,7 +55,6 @@ RESERVED = {
     "set_trainable_by_prefix": "item 6: freezing modules per training stage",
     "decode_text": "item 6: the backbone's text answers",
     "mse": "item 5: the rectified-flow velocity loss",
-    "encode_frames": "item 5: stage B's frozen-encoder clues",
     "encode_normalized": "item 5: the decoder's normalized latent targets",
     "denormalize_latent": "item 5: decoder latents back to the VAE's scale",
     "psnr": "item 4: VAE reconstruction PSNR in the eval record",
@@ -346,3 +351,54 @@ def test_node_rule_matches_a_tag_or_its_prefix():
     assert untested_nodes(ops, ast.parse("PRIMITIVE_CASES = {'cubed': 1, 'cub': 1}\n")) == ["cube"]
     dynamic = ast.parse("def any_op(a, op):\n    return Tensor._from_op(a.data, (a,), op, None)\n")
     assert untested_nodes(dynamic, ast.parse("PRIMITIVE_CASES = {'cube': 1}\n")) == ["op"]
+
+
+def stored_gradient_writes(tree: ast.Module, closures: bool) -> list[str]:
+    """Writes in place to a stored gradient in the module: an augmented
+    assignment to a `.grad` attribute, or an assignment into its subscript
+    or an `out=` naming it; with `closures`, the same writes to the incoming
+    `g` of each function that takes one."""
+    def writes(node: ast.AST, stored) -> list[tuple[int, str]]:
+        found = []
+        for stmt in ast.walk(node):
+            if isinstance(stmt, ast.AugAssign):
+                targets = [stmt.target]
+            elif isinstance(stmt, ast.Assign):
+                targets = [t for t in stmt.targets if isinstance(t, ast.Subscript)]
+            elif isinstance(stmt, ast.Call):
+                targets = [kw.value for kw in stmt.keywords if kw.arg == "out"]
+            else:
+                continue
+            for target in targets:
+                root = target
+                while isinstance(root, ast.Subscript):
+                    root = root.value
+                if stored(root):
+                    found.append((stmt.lineno, ast.unparse(target)))
+        return found
+
+    found = writes(tree, lambda root: isinstance(root, ast.Attribute) and root.attr == "grad")
+    if closures:
+        for _, fn in functions(tree):
+            if any(arg.arg == "g" for arg in fn.args.args):
+                found += writes(fn, lambda root: isinstance(root, ast.Name) and root.id == "g")
+    return [f"{text} (line {line})" for line, text in sorted(set(found))]
+
+
+def test_no_stored_gradient_is_written_in_place():
+    found = {str(p.relative_to(SRC)): stored_gradient_writes(ast.parse(p.read_text(), str(p)),
+                                                             closures=p == NUMERICS / "tensor.py")
+             for p in sorted(SRC.rglob("*.py"))}
+    assert "univid/numerics/tensor.py" in found
+    assert not {path: writes for path, writes in found.items() if writes}
+
+
+def test_gradient_rule_flags_writes_to_grad_and_to_an_incoming_g():
+    tree = ast.parse("class Tensor:\n    def _accumulate(self, g):\n        self.grad += g\n\n"
+                     "def clip(p):\n    p.grad[0] = 0.0\n    p.grad = p.grad * 0.5\n\n"
+                     "def double(a):\n    def bwd(g):\n        g *= 2\n        g[0] += 1\n"
+                     "        np.negative(g, out=g[1:])\n        h = g * 2\n        h *= 3\n"
+                     "        a._accumulate(h)\n    return bwd\n")
+    grads = ["self.grad (line 3)", "p.grad[0] (line 6)"]
+    assert stored_gradient_writes(tree, closures=False) == grads
+    assert stored_gradient_writes(tree, closures=True) == grads + ["g (line 11)", "g[0] (line 12)", "g[1:] (line 13)"]
