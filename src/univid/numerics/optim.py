@@ -19,9 +19,11 @@ class AdamW:
     """Betas (0.9, 0.999), eps 1e-8. Moments are kept, by position in `params`,
     only for parameters that required grad at construction. Stepping such a
     parameter without state is an error; frozen parameters are skipped and
-    stay bitwise unchanged. Each step reads `.grad`, which a `Parameter`
-    always holds (zero at construction and after `zero_grad`), and replaces
-    `.data`."""
+    stay bitwise unchanged. Each step reads `.grad` and replaces `.data`. A
+    `Parameter` starts with a zero gradient; `zero_grad` sets it to None, so
+    backward stores the first gradient rather than adding it to zeros, and a
+    step reads a gradient still None (the loss did not reach the parameter)
+    as zero."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -35,7 +37,7 @@ class AdamW:
 
     def zero_grad(self) -> None:
         for p in self.params:
-            p.grad = np.zeros_like(p.data)
+            p.grad = None
 
     def step(self) -> None:
         self.step_count += 1
@@ -47,7 +49,7 @@ class AdamW:
                 continue
             if state is None:
                 raise MissingStateError(f"no optimizer state for trainable parameter #{i} {p.name!r}")
-            g = p.grad
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
             m, v = state
             m *= self.beta1
             m += (1.0 - self.beta1) * g
@@ -67,7 +69,8 @@ def fit(params: list[Parameter], loss_at: Callable[[int], Tensor], *, steps: int
 
     Each call builds its own `AdamW`, so no moments carry over between calls.
     Step `step` sets `lr_at(step)` as the learning rate (when given), then runs
-    zero_grad, `loss_at(step)`, backward and `AdamW.step`. Nothing is caught:
+    zero_grad, `loss_at(step)`, backward and `AdamW.step`; a parameter the loss
+    does not reach steps with a zero gradient. Nothing is caught:
     an exception from any of them reaches the caller unchanged, and no later
     step runs."""
     opt = AdamW(params, lr=lr, weight_decay=weight_decay)

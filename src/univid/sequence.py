@@ -138,23 +138,47 @@ def decode_text(ids: Iterable[int]) -> str:
 # -- packing --------------------------------------------------------------------
 
 
+def _text_ids(payload) -> list[int]:
+    """A text part's ids, [0, TEXT_VOCAB) as the delimiters fill the rest of VOCAB. A list
+    of Python ints or a 1-d integer array passes one array test; any other payload, or
+    one that fails it, is checked id by id, so the error names the first bad id."""
+    if (isinstance(payload, np.ndarray) and payload.dtype.kind in "iu"
+            or type(payload) is list and set(map(type, payload)) <= {int}):
+        a = np.asarray(payload)
+        if a.ndim == 1 and (not a.size or a.min() >= 0 and a.max() < TEXT_VOCAB):
+            return a.tolist()
+    try:
+        items = iter(payload)
+    except TypeError:
+        raise PackError(f"text ids must be iterable, got {type(payload).__name__}") from None
+    ids = []
+    for i in items:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < TEXT_VOCAB:
+            raise PackError(f"id {i!r} is not packable as plain text")
+        ids.append(int(i))
+    return ids
+
+
 def pack_parts(parts: list) -> MultimodalSequence:
     """Build a sequence from interleaved parts.
 
     Each part is ("text", integer ids) or (kind, embeddings) with kind in
-    {"image", "video"}. Blocks are wrapped in their opener/closer tokens.
+    {"image", "video"}. Blocks are wrapped in their opener/closer tokens. A
+    malformed payload raises PackError.
     """
     ids: list[int] = []
     blocks = [np.zeros((0, VISUAL_DIM), np.float32)]
     for tag, payload in parts:
         if tag == "text":
-            for i in payload:
-                if (isinstance(i, bool) or not isinstance(i, (int, np.integer))
-                        or not 0 <= i < VOCAB or i in _OPENERS or i in _CLOSERS):
-                    raise PackError(f"id {i!r} is not packable as plain text")
-                ids.append(int(i))
+            ids += _text_ids(payload)
         elif tag in _SPAN_LENGTHS:
-            emb = np.asarray(payload, dtype=np.float32)
+            try:
+                emb = np.asarray(payload)
+            except ValueError as e:  # ragged nesting
+                raise PackError(f"{tag} block is not an array: {e}") from None
+            if emb.dtype.kind not in "biuf":
+                raise PackError(f"{tag} block must hold real numbers, got dtype {emb.dtype}")
+            emb = emb.astype(np.float32, copy=False)
             if emb.ndim == 1:
                 emb = emb[None, :]
             if emb.ndim != 2 or emb.shape[1] != VISUAL_DIM:

@@ -123,7 +123,8 @@ def coverage(spec: SceneSpec, frame: int) -> np.ndarray:
     ramps, deterministic per (spec, frame). Centres are integer pixels clamped
     into [r, CANVAS-1-r], so this is the (shape, size) stamp pasted whole at an
     integer offset, bitwise what a full-canvas subpixel grid gives: the offsets
-    from the centre are the same exact dyadic values either way."""
+    from the centre are the same exact dyadic values either way. `render` does
+    not call it: it serves edit masks and readers of the stamp geometry."""
     out = np.zeros((CANVAS, CANVAS), dtype=np.float32)
     if spec.has_object:
         r = SIZES[spec.size]
@@ -139,29 +140,48 @@ def _coverages(spec: SceneSpec, frames: int) -> np.ndarray:
     return np.stack([coverage(spec, t) for t in range(frames)])
 
 
-def _paint(spec: SceneSpec, cov: np.ndarray) -> np.ndarray:
-    """Float32 [T, 3, CANVAS, CANVAS]: the background, with the object's color
-    blended in by coverage `cov` [T, CANVAS, CANVAS] if the scene has one."""
-    video = np.full((len(cov), 3, CANVAS, CANVAS), BACKGROUNDS[spec.background], dtype=np.float32)
-    if not spec.has_object:
-        return video
-    # blend inside the bounding box of all frames' coverage; outside it the
-    # blend bg * (1 - 0) + color * 0 is exactly bg
-    rows, cols = np.nonzero(cov.any(axis=0))
-    box = np.s_[..., rows.min():rows.max() + 1, cols.min():cols.max() + 1]
-    c = cov[:, None][box]
-    video[box] = video[box] * (1.0 - c) + np.array(COLORS[spec.color], dtype=np.float32).reshape(3, 1, 1) * c
+def _patch(stamp: np.ndarray, background: str, color: str) -> np.ndarray:
+    """Read-only float32 [3, 2r+1, 2r+1]: `color` blended over `background` by `stamp`."""
+    patch = BACKGROUNDS[background] * (1.0 - stamp) + np.array(COLORS[color], np.float32)[:, None, None] * stamp
+    patch.flags.writeable = False
+    return patch
+
+
+# Outside the stamp the blend bg * (1 - 0) + color * 0 is exactly bg (every
+# channel value is 0, 0.5 or 1, so no -0.0 appears): pasting a whole patch onto
+# a flat background gives bitwise the per-pixel blend of the full canvas.
+_PATCHES = {(shape, size, bg, color): _patch(stamp, bg, color)
+            for (shape, size), stamp in _STAMPS.items() for bg in BACKGROUNDS for color in COLORS}
+
+
+def _centres(spec: SceneSpec, frames) -> list:
+    """Each frame's `_center`, or None without an object, whose jitter is then never drawn."""
+    return [_center(spec, t) if spec.has_object else None for t in frames]
+
+
+def _paint(spec: SceneSpec, centres: list) -> np.ndarray:
+    """Float32 [len(centres), 3, CANVAS, CANVAS]: the background, with the
+    scene's patch pasted at each frame's (cx, cy) centre if it has an object."""
+    video = np.full((len(centres), 3, CANVAS, CANVAS), BACKGROUNDS[spec.background], dtype=np.float32)
+    if spec.has_object:
+        r = SIZES[spec.size]
+        patch = _PATCHES[spec.shape, spec.size, spec.background, spec.color]
+        for frame, (cx, cy) in zip(video, centres):
+            frame[:, cy - r:cy + r + 1, cx - r:cx + r + 1] = patch
     return video
 
 
 def render(spec: SceneSpec, frames: int) -> np.ndarray:
-    """Rasterize to float32 [frames, 3, CANVAS, CANVAS] in [0, 1]."""
-    return _paint(spec, _coverages(spec, frames))
+    """Rasterize to float32 [frames, 3, CANVAS, CANVAS] in [0, 1]: one fill, and
+    one pre-blended patch pasted per frame; no coverage is computed."""
+    if frames < 1:
+        raise SynthError(f"frames must be >= 1, got {frames}")
+    return _paint(spec, _centres(spec, range(frames)))
 
 
 def render_frame(spec: SceneSpec, frame: int) -> np.ndarray:
     """Float32 [3, CANVAS, CANVAS]: frame `frame` of a render, drawn alone."""
-    return _paint(spec, coverage(spec, frame)[None])[0]
+    return _paint(spec, _centres(spec, (frame,)))[0]
 
 
 # -- language -------------------------------------------------------------------
@@ -271,8 +291,10 @@ def make_edit_pair(kind: str, spec: SceneSpec, op: Recolor | RemoveObject | Chan
         instruction = f"add a {spec.size} {spec.color} {spec.shape} moving {spec.motion}"
     else:
         raise SynthError(f"unknown edit op {op!r}")
-    return Sample(kind=kind, spec=spec, source=_paint(source_spec, cov), instruction=instruction,
-                  target=_paint(edited, cov), preserved_mask=preserved, edited_spec=edited)
+    # `edited` keeps the shape, size, motion and seed, so its centres are the source's
+    centres = _centres(spec, range(frames))
+    return Sample(kind=kind, spec=spec, source=_paint(source_spec, centres), instruction=instruction,
+                  target=_paint(edited, centres), preserved_mask=preserved, edited_spec=edited)
 
 
 # -- samples and mixture -----------------------------------------------------------

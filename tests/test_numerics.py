@@ -1169,6 +1169,30 @@ def test_fit_returns_each_steps_loss_and_applies_lr_at(monkeypatch):
     assert seen_lr == [0.1, 0.05, 0.1 / 3, 0.025]
 
 
+def test_fit_steps_an_unreached_parameter_as_with_a_zero_gradient(monkeypatch):
+    def run(explicit_zero):
+        p, loss = _quadratic()
+        unreached = nx.Parameter(np.array([0.5, -1.5], dtype=np.float32))
+        unreached.name = "unreached"
+        if explicit_zero:
+            step = nx.AdamW.step
+
+            def step_with_zero(opt):
+                assert unreached.grad is None
+                unreached.grad = np.zeros_like(unreached.data)
+                step(opt)
+
+            monkeypatch.setattr(nx.AdamW, "step", step_with_zero)
+        nx.fit([p, unreached], loss, steps=3, lr=0.1, weight_decay=0.01)
+        monkeypatch.undo()
+        return p.data.tobytes(), unreached.data.tobytes()
+
+    implicit = run(False)
+    assert implicit == run(True)
+    # weight decay moved it, so the step was taken
+    assert implicit[1] != np.array([0.5, -1.5], dtype=np.float32).tobytes()
+
+
 class _Stop(Exception):
     pass
 

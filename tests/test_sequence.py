@@ -1,6 +1,8 @@
 """Packing, parsing, and the binary wire format."""
 
 import hashlib
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +54,51 @@ def test_pack_rejects_non_integer_text_ids():
             sq.pack_parts([("text", [65, bad])])
     # numpy integers are integers
     assert sq.pack_parts([("text", np.array([65, 66]))]).ids.tolist() == [65, 66]
+
+
+@pytest.mark.parametrize("part", [
+    ("image", "abc"),
+    ("image", np.array([object()] * sq.VISUAL_DIM)),
+    ("image", np.ones(sq.VISUAL_DIM, np.complex64)),
+    ("video", [[0.0] * sq.VISUAL_DIM] * 7 + [[0.0]]),
+    ("text", None),
+    ("text", 65),
+], ids=["str-image", "object-image", "complex-image", "ragged-video", "none-text", "int-text"])
+def test_pack_raises_pack_error_on_malformed_payloads(part):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sq.PackError):
+            sq.pack_parts([part])
+
+
+def reference_text_ids(payload):
+    """The id-by-id check: the first id that is not an integer text id, or the ids."""
+    for i in payload:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < sq.TEXT_VOCAB:
+            return repr(i)
+    return [int(i) for i in payload]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(["list", "int64", "uint8", "numpy ints in a list"]))
+def test_text_ids_pack_as_the_reference_loop_checks_them(data, form):
+    # an array check passes exactly the payloads the loop passes, and a failing
+    # payload still names its first bad id
+    small = st.integers(-3, sq.VOCAB + 2)
+    if form == "list":
+        ids = data.draw(st.lists(small, max_size=12) | st.lists(small | st.integers(-2**70, 2**70) | st.booleans(),
+                                                                  max_size=12))
+    else:
+        dtype = np.uint8 if form == "uint8" else np.int64
+        ids = np.array(data.draw(st.lists(small, max_size=12)), np.int64).astype(dtype)
+        if form == "numpy ints in a list":
+            ids = list(ids)
+    want = reference_text_ids(ids)
+    if isinstance(want, list):
+        assert sq.pack_parts([("text", ids)]).ids.tolist() == want
+    else:
+        with pytest.raises(sq.PackError, match=f"id {re.escape(want)} is not packable"):
+            sq.pack_parts([("text", ids)])
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """Procedural corpus: rendering, captions, edits, QA, mixture, shards."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,43 @@ def test_render_matches_oracle():
         assert got.dtype == want.dtype and np.array_equal(got, want), (spec, frames)
         t = int(rng.integers(frames))
         assert np.array_equal(sd.render_frame(spec, t), want[t])
+
+
+def test_every_patch_matches_oracle_including_clamped_centres():
+    # each (shape, size, background, colour) patch, moved towards each edge in
+    # turn: frames 0-7 are unclamped, and by frame 40 the centre is clamped
+    keys = itertools.product(sd.SHAPES, sd.SIZE_NAMES, sd.BACKGROUND_NAMES, sd.COLOR_NAMES)
+    for i, (shape, size, background, color) in enumerate(keys):
+        spec = spec_of(shape=shape, size=size, background=background, color=color,
+                       motion=("left", "right", "up", "down")[i % 4], seed=i)
+        want = oracle_render(spec, 41)
+        assert sd.render(spec, 8).tobytes() == want[:8].tobytes(), spec
+        assert sd.render(spec, 41).tobytes() == want.tobytes(), spec
+        for t in (0, 7, 40):
+            assert sd.render_frame(spec, t).tobytes() == want[t].tobytes(), (spec, t)
+
+
+def test_render_computes_no_coverage(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sd, "coverage", lambda spec, frame: calls.append(frame))
+    sd.render(spec_of(), 8)
+    sd.render_frame(spec_of(), 3)
+    sd.render(spec_of().without_object(), 2)
+    assert calls == []
+
+
+def test_render_needs_a_frame():
+    with pytest.raises(sd.SynthError):
+        sd.render(spec_of(), 0)
+
+
+def test_patch_table_is_complete_and_read_only():
+    assert set(sd._PATCHES) == set(itertools.product(sd.SHAPES, sd.SIZE_NAMES, sd.BACKGROUND_NAMES, sd.COLOR_NAMES))
+    patch = sd._PATCHES["circle", "large", "gray", "red"]
+    before = sd.render(spec_of(), 2)
+    with pytest.raises(ValueError):
+        patch[0, 0, 0] = 0.25
+    assert sd.render(spec_of(), 2).tobytes() == before.tobytes()
 
 
 def test_caption_contains_all_attribute_words():
