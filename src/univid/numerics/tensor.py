@@ -1,9 +1,25 @@
 """Reverse-mode autodiff on numpy buffers.
 
 A Tensor wraps a float32/float64 ndarray and records the computation graph
-whenever an input requires gradients. Kernels are plain numpy; everything is
-single-threaded and bitwise deterministic for fixed inputs. Each op has one
-call form, the module-level function; a Tensor's only operator is indexing.
+whenever an input requires gradients. Kernels are plain numpy, bitwise
+deterministic for fixed inputs. Each op has one call form, the module-level
+function; a Tensor's only operator is indexing.
+
+Two kernels share their work with one worker thread, which runs numpy calls
+beside the caller: `window_linear`'s backward runs its w-gradient gemms there
+while the caller runs the a-gradient's, and a `gelu` of at least
+`_SPLIT_FLOOR` elements splits its steps in halves along the first axis
+longer than 1, one half on each thread. Each thread makes the same numpy
+calls on the same operands as one thread would, so results are bitwise
+those of the serial loops. The caller allocates every buffer and hands the
+worker views of them, so the worker's allocator never grows. The worker
+drops each job before it reports back, so no buffer outlives the call. A job
+runs in a copy of the caller's context, so `np.errstate`, a context variable
+since numpy 2.0, holds in both halves. An exception on the worker is raised
+in the caller once both halves have ended. The thread starts on first use,
+as a daemon; a forked child, or a caller whose wait for the worker was cut
+short by an exception, starts a new one. The engine still serves one calling
+thread at a time, as `_grad_enabled` assumes.
 
 Every forward op checks its output for non-finite values, with one exception.
 The rearranging ops (reshape, transpose, slice, concat, window, take) only
@@ -37,9 +53,13 @@ closure may hand one array, or views of it, to several parents.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import itertools
 import math
+import os
+import queue
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -88,6 +108,76 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+# A gelu of fewer elements runs on the caller alone. A split costs a hand-off
+# to the worker and back (17-19 µs on a 2-vCPU Xeon) and the interpreter lock
+# passing between the threads at each numpy call. On that host, forward plus
+# backward split ran 0.8-0.9 times as fast as one thread at 2**16 elements,
+# 1.1-1.3 times at 2**17 and 1.4 times at 2**18. So the VAE's eight-frame
+# training gelus (2**17 and 2**18) and the frame encoder's (196608) split,
+# its one-frame ones (2**15 and 2**16) and perception requests' stay serial
+_SPLIT_FLOOR = 2 ** 17
+
+_worker: tuple | None = None  # its (jobs, reports) queues, once started
+
+
+def _serve(jobs: queue.SimpleQueue, reports: queue.SimpleQueue) -> None:
+    """The worker thread: run each job and report its exception or None,
+    until it is sent None."""
+    while (job := jobs.get()) is not None:
+        try:
+            job()
+            err = None
+        except BaseException as e:  # the caller re-raises it
+            err = e
+        del job  # a finished job must not hold its buffers past the call
+        reports.put(err)
+        del err
+
+
+def _forget_worker() -> None:
+    global _worker
+    _worker = None
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _beside(side, main) -> None:
+    """Run `side()` on the worker, in a copy of the caller's context, while
+    the caller runs `main()`; return once both have ended. An exception of
+    `main` propagates, else one of `side` is raised here."""
+    global _worker
+    if _worker is None:
+        _worker = (queue.SimpleQueue(), queue.SimpleQueue())
+        threading.Thread(target=_serve, args=_worker, name="numerics-worker", daemon=True).start()
+    jobs, reports = _worker
+    jobs.put(functools.partial(contextvars.copy_context().run, side))
+    try:
+        main()
+    finally:
+        try:
+            err = reports.get()
+        except BaseException:  # a wait cut short would leave its report to the next call
+            jobs.put(None)  # so this worker ends after its job, and the next call starts another
+            _worker = None
+            raise
+    if err is not None:
+        raise err
+
+
+def _halves(fn, *arrays: np.ndarray) -> None:
+    """fn(*arrays), for an elementwise `fn` that writes its results into some
+    of `arrays`, all of one shape. From `_SPLIT_FLOOR` elements, the halves
+    along the first axis longer than 1 run at once, the second on the worker."""
+    if arrays[0].size < _SPLIT_FLOOR:
+        return fn(*arrays)
+    axis = next(ax for ax, n in enumerate(arrays[0].shape) if n > 1)
+    mid = arrays[0].shape[axis] // 2
+    lead = (slice(None),) * axis
+    _beside(functools.partial(fn, *(a[lead + (slice(mid, None),)] for a in arrays)),
+            functools.partial(fn, *(a[lead + (slice(None, mid),)] for a in arrays)))
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -295,31 +385,35 @@ def gelu(a: Tensor) -> Tensor:
     of a product or sum swapped at most), so the results are bitwise those of
     the plain expression. Forward builds the tanh term in one buffer and turns
     it into the output in place. The node keeps only its input: backward
-    recomputes x * x and the tanh term from it in the same rounded steps."""
+    recomputes x * x and the tanh term from it in the same rounded steps.
+    From `_SPLIT_FLOOR` elements each direction runs in halves, one on the
+    worker thread."""
     x = a.data
     c = math.sqrt(2.0 / math.pi)
 
-    def tanh_term(th: np.ndarray) -> np.ndarray:
+    def tanh_term(x: np.ndarray, th: np.ndarray) -> None:
         """tanh(c * (x + 0.044715 * x^3)), in place in `th`, which holds x * x * x"""
         th *= 0.044715
         th += x
         th *= c
-        return np.tanh(th, out=th)
+        np.tanh(th, out=th)
 
-    th = np.multiply(x, x, out=np.empty_like(x))  # an array even when x is 0-d
-    th *= x
-    out_data = tanh_term(th)
-    out_data += 1.0
-    out_data *= 0.5
-    out_data *= x
+    def forward(x: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(x, x, out=out)
+        out *= x
+        tanh_term(x, out)
+        out += 1.0
+        out *= 0.5
+        out *= x
 
-    def bwd(g):
-        # 0.5 * (1 + th) + (0.5 * c) * x * (1 - th * th) * (1 + 0.134145 * x * x), then times g
-        x2 = np.multiply(x, x, out=np.empty_like(x))
-        th = tanh_term(np.multiply(x2, x, out=np.empty_like(x)))
-        d = np.multiply(th, th, out=np.empty_like(th))
+    def backward(x, g, x2, th, d, t) -> None:
+        # 0.5 * (1 + th) + (0.5 * c) * x * (1 - th * th) * (1 + 0.134145 * x * x), then times g, into d
+        np.multiply(x, x, out=x2)
+        np.multiply(x2, x, out=th)
+        tanh_term(x, th)
+        np.multiply(th, th, out=d)
         np.subtract(1.0, d, out=d)
-        t = np.multiply(x, 0.5 * c, out=np.empty_like(x))
+        np.multiply(x, 0.5 * c, out=t)
         d *= t
         x2 *= 0.134145
         x2 += 1.0
@@ -328,6 +422,13 @@ def gelu(a: Tensor) -> Tensor:
         t *= 0.5
         d += t
         d *= g
+
+    out_data = np.empty_like(x)  # an array even when x is 0-d
+    _halves(forward, x, out_data)
+
+    def bwd(g):
+        x2, th, d, t = (np.empty_like(x) for _ in range(4))
+        _halves(backward, x, g, x2, th, d, t)
         a._accumulate(d)
 
     return Tensor._from_op(out_data, (a,), "gelu", bwd)
@@ -503,7 +604,8 @@ def window_linear(a: Tensor, w: Tensor, b: Tensor, axes: tuple, size: int, strid
     output at the bias and adds, per entry, the in-range rows of `a` times
     those weight rows into the output rows they reach, one flat gemm each.
     Backward runs one gemm per entry for `a`'s gradient and one for `w`'s,
-    so no buffer in either direction is wider than `a` or the output. Values
+    so no buffer in either direction is wider than `a` or the output; when
+    both need one, `w`'s loop runs on the worker beside `a`'s. Values
     equal the composition's up to the order in which products are summed."""
     axes = tuple(axes)
     if not (a.dtype == w.dtype == b.dtype):
@@ -524,27 +626,38 @@ def window_linear(a: Tensor, w: Tensor, b: Tensor, axes: tuple, size: int, strid
         out_data[dst] += (_rows(x) @ w_entries[i]).reshape(*x.shape[:-1], n)
 
     def bwd(g):
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
         g_rows = _rows(g)
-        if a.requires_grad:
-            ga = np.zeros(a.shape, dtype=a.dtype)
+        ga = np.zeros(a.shape, dtype=a.dtype) if a.requires_grad else None
+        gw = np.zeros(w.shape, dtype=w.dtype) if w.requires_grad else None
+        entry = np.empty(lead + (c,), dtype=a.dtype) if w.requires_grad else None
+
+        def grad_a():
             for i, dst, src in pairs:
                 ga[src] += (g_rows @ w_entries[i].T).reshape(lead + (c,))[dst]
-            a._accumulate(ga)
-        if w.requires_grad:
+
+        def grad_w():
             # each entry's gradient sums over every output row, with zero rows
             # where the entry reads padding, as the composition's gemm does.
             # Over the in-range rows alone, OpenBLAS rounds the sum differently
             # at another thread count when their number is not a multiple of
             # 32, as on the VAE's 7x8 and 7x7 borders; its output row counts
             # are multiples of 64
-            gw = np.zeros(w.shape, dtype=w.dtype)
-            entry = np.empty(lead + (c,), dtype=a.dtype)
             for i, dst, src in pairs:
                 entry.fill(0)
                 entry[dst] = a.data[src]
-                gw[i * c:(i + 1) * c] = _rows(entry).T @ g_rows
+                np.matmul(_rows(entry).T, g_rows, out=gw[i * c:(i + 1) * c])
+
+        if ga is not None and gw is not None:
+            _beside(grad_w, grad_a)
+        elif ga is not None:
+            grad_a()
+        elif gw is not None:
+            grad_w()
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
+        if ga is not None:
+            a._accumulate(ga)
+        if gw is not None:
             w._accumulate(gw)
 
     return Tensor._from_op(out_data, (a, w, b), "window_linear", bwd)

@@ -168,7 +168,11 @@ def pack_parts(parts: list) -> MultimodalSequence:
     """
     ids: list[int] = []
     blocks = [np.zeros((0, VISUAL_DIM), np.float32)]
-    for tag, payload in parts:
+    for i, part in enumerate(parts):
+        try:
+            tag, payload = part
+        except (TypeError, ValueError):  # not iterable, or not two items
+            raise PackError(f"part {i} is not a (tag, payload) pair") from None
         if tag == "text":
             ids += _text_ids(payload)
         elif tag in _SPAN_LENGTHS:

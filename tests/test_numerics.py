@@ -1,8 +1,14 @@
 """Tensor library: primitives, losses, autodiff, optimizer, grad checker."""
 
+import functools
 import itertools
 import math
+import os
+import signal
+import threading
+import time
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -56,13 +62,20 @@ def gelu_plain(x, g):
     return x * half_one_plus, g * d
 
 
+# From tz._SPLIT_FLOOR elements gelu runs in halves along the first axis
+# longer than 1: (SPLIT_ROWS, 256) splits an odd number of rows, as 256 + 257
+# at a floor of 2**17, (1, SPLIT_ROWS, 256) splits axis 1, and their
+# transposes split 256 columns into strided halves
+SPLIT_ROWS = tz._SPLIT_FLOOR // 256 + 1
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(), (7,), (33, 65)])
+@pytest.mark.parametrize("shape", [(), (7,), (33, 65), (SPLIT_ROWS, 256), (1, SPLIT_ROWS, 256)])
 def test_gelu_matches_plain_expression_bitwise(shape, dtype):
     rng = np.random.default_rng(len(shape))
     x = (rng.standard_normal(shape) * 3).astype(dtype)
     g = rng.standard_normal(shape).astype(dtype)
-    for data, gd in ((x, g), (x.T, g.T)):  # in 2-d, also a transposed view
+    for data, gd in ((x, g), (x.T, g.T)):  # from 2-d, also a transposed view
         want_out, want_grad = gelu_plain(data, gd)
         a = nx.Tensor(data, requires_grad=True)
         out = nx.gelu(a)
@@ -73,6 +86,112 @@ def test_gelu_matches_plain_expression_bitwise(shape, dtype):
             plain = nx.gelu(nx.Parameter(data))
         assert not plain.requires_grad and plain._backward_fn is None
         assert plain.numpy().tobytes() == np.asarray(want_out).tobytes()
+
+
+# -- the worker thread ------------------------------------------------------------
+
+
+def split_gelu_input():
+    """An input just above the split floor, with an odd split length."""
+    x = np.random.default_rng(5).standard_normal((SPLIT_ROWS, 256)).astype(np.float32)
+    assert x.size >= tz._SPLIT_FLOOR
+    return x
+
+
+@pytest.mark.parametrize("at", [0, -1], ids=["first-half", "second-half"])
+def test_split_gelu_keeps_the_callers_errstate_in_both_halves(at):
+    x = split_gelu_input()
+    x[at, at] = 1e30  # x * x overflows
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        nx.gelu(nx.Tensor(x))
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = nx.gelu(nx.Tensor(x))
+    assert out.numpy()[at, at] == np.float32(1e30)
+
+
+def test_a_worker_exception_reaches_the_caller_once_both_sides_end():
+    class Boom(Exception):
+        pass
+
+    def fail():
+        raise Boom
+
+    ended = []
+    with pytest.raises(Boom):
+        tz._beside(fail, lambda: ended.append("main"))
+    assert ended == ["main"]
+    # the caller's exception wins, raised once the worker's side has ended too
+    with pytest.raises(KeyError):
+        tz._beside(lambda: (time.sleep(0.05), ended.append("side")), lambda: {}["missing"])
+    assert ended == ["main", "side"]
+    x = split_gelu_input()
+    assert nx.gelu(nx.Tensor(x)).numpy().tobytes() == gelu_plain(x, x)[0].tobytes()
+
+
+def test_a_wait_cut_short_leaves_no_report_to_the_next_call():
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        arm = functools.partial(signal.setitimer, signal.ITIMER_REAL, 0.05)  # fires while the caller waits
+        with pytest.raises(Interrupted):
+            tz._beside(functools.partial(time.sleep, 0.3), arm)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    abandoned = [t for t in threading.enumerate() if t.name == "numerics-worker"]
+    ended = []
+    tz._beside(lambda: (time.sleep(0.05), ended.append("side")), lambda: None)
+    assert ended == ["side"]  # the interrupted job's report did not end this call
+    for t in abandoned:
+        t.join(5)
+        assert not t.is_alive()
+
+
+def test_the_worker_keeps_no_buffer_of_a_finished_job():
+    buf = np.zeros(1000)
+    alive = weakref.ref(buf)
+    tz._beside(functools.partial(np.copyto, buf[500:], 1.0), functools.partial(np.copyto, buf[:500], 2.0))
+    assert buf.sum() == 1500.0
+    del buf
+    assert alive() is None
+
+
+def test_backward_passes_start_at_most_one_thread():
+    before = threading.active_count()
+    x = split_gelu_input()
+    for _ in range(20):
+        a = nx.Tensor(x, requires_grad=True)
+        h = nx.window_linear(nx.reshape(nx.gelu(a), (1, SPLIT_ROWS, 16, 16)), nx.Parameter(np.ones((48, 4), np.float32)),
+                             nx.Parameter(np.zeros(4, np.float32)), (2,), 3, 1, 1, 1)
+        nx.sum_(h).backward()
+    assert threading.active_count() <= before + 1
+    assert [t.name for t in threading.enumerate()].count("numerics-worker") == 1
+
+
+def test_a_forked_child_runs_a_split_gelu():
+    x = split_gelu_input()
+    want = gelu_plain(x, x)[0].tobytes()
+    nx.gelu(nx.Tensor(x))  # the worker runs in this process before the fork
+    pid = os.fork()
+    if pid == 0:  # the child: exit 0 only if the split gelu completes right
+        try:
+            os._exit(0 if nx.gelu(nx.Tensor(x)).numpy().tobytes() == want else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung in a split gelu")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_zero_width_contraction_is_zeros_plus_the_bias():
@@ -967,6 +1086,56 @@ def test_window_linear_matches_linear_of_window(call, n, dtype, seed):
     for name, got_v, want_v, scale_v in zip(("out", "a", "w", "b"), got, want, scale):
         assert got_v.dtype == dtype and got_v.shape == want_v.shape, name
         assert (np.abs(got_v - want_v) <= WINDOW_LINEAR_TOL[dtype] * scale_v).all(), name
+
+
+def window_linear_serial_grads(x, w, g, window_args):
+    """The gradients of a, w and b of `window_linear`, by its loops run one after the other."""
+    lead, pairs = tz._window_table("window_linear", x.shape, *window_args)
+    c = x.shape[-1]
+    w_entries = w.reshape(-1, c, w.shape[1])
+    g_rows = tz._rows(g)
+    ga = np.zeros_like(x)
+    for i, dst, src in pairs:
+        ga[src] += (g_rows @ w_entries[i].T).reshape(lead + (c,))[dst]
+    gw = np.zeros_like(w)
+    entry = np.empty(lead + (c,), dtype=x.dtype)
+    for i, dst, src in pairs:
+        entry.fill(0)
+        entry[dst] = x[src]
+        gw[i * c:(i + 1) * c] = tz._rows(entry).T @ g_rows
+    return ga, gw, tz._unbroadcast(g, (w.shape[1],))
+
+
+# the VAE's four windowed layers over [T, B, 8, 8, C]: encoder spatial and
+# temporal at T input frames, decoder spatial and temporal at (T + 1) // 2
+VAE_WINDOWS = {
+    "enc_spatial": (False, 9 * 64, 64, pc._CONTEXT_3X3),
+    "enc_temporal": (False, 4 * 64, 128, None),
+    "dec_spatial": (True, 9 * 64, 64, pc._CONTEXT_3X3),
+    "dec_temporal": (True, 2 * 64, 128, ((0,), 2, 1, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("needs", ["a w b", "a", "w"])
+@pytest.mark.parametrize("frames", [8, 1])
+@pytest.mark.parametrize("layer", sorted(VAE_WINDOWS))
+def test_window_linear_gradients_equal_the_serial_loops_bitwise(layer, frames, needs):
+    latent, rows, n, window_args = VAE_WINDOWS[layer]
+    t = (frames + 1) // 2 if latent else frames
+    window_args = window_args or ((0,), 4, 2, 2, t % 2)
+    rng = np.random.default_rng([rows, n, t])
+    x = rng.standard_normal((t, 8, 8, 8, 64)).astype(np.float32)
+    w = (rng.standard_normal((rows, n)) * 0.05).astype(np.float32)
+    b = rng.standard_normal(n).astype(np.float32)
+    ps = [nx.Tensor(v, requires_grad=name in needs.split()) for name, v in zip("awb", (x, w, b))]
+    out = nx.window_linear(*ps, *window_args)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    nx.sum_(nx.mul(out, nx.Tensor(g))).backward()
+    for p, want in zip(ps, window_linear_serial_grads(x, w, g, window_args)):
+        if p.requires_grad:
+            assert p.grad.tobytes() == want.tobytes()
+        else:
+            assert p.grad is None
 
 
 def test_window_table_cache_hit_equals_an_uncached_build():

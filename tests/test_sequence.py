@@ -71,6 +71,13 @@ def test_pack_raises_pack_error_on_malformed_payloads(part):
             sq.pack_parts([part])
 
 
+@pytest.mark.parametrize("part", [("text",), ("video",), ("text", [65], [66]), None],
+                         ids=["text-alone", "video-alone", "triple", "none"])
+def test_pack_raises_pack_error_on_a_part_that_is_not_a_pair(part):
+    with pytest.raises(sq.PackError, match="part 1 is not a"):
+        sq.pack_parts([("text", [65]), part])
+
+
 def reference_text_ids(payload):
     """The id-by-id check: the first id that is not an integer text id, or the ids."""
     for i in payload:
