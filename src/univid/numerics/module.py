@@ -15,15 +15,13 @@ from .tensor import Tensor
 
 
 class Parameter(Tensor):
-    """A named leaf tensor that starts with a zero gradient; `trainable` sets
-    `requires_grad`. Names are assigned hierarchically when the owning module
-    tree is traversed."""
+    """A named leaf tensor; `trainable` sets `requires_grad`. Names are
+    assigned hierarchically when the owning module tree is traversed."""
 
     __slots__ = ("name",)
 
     def __init__(self, data: np.ndarray, trainable: bool = True):
         super().__init__(data, requires_grad=trainable)
-        self.grad = np.zeros_like(self.data)
         self.name = ""
 
 
@@ -60,18 +58,11 @@ class Module:
 class ModuleList(Module):
     def __init__(self, mods):
         super().__init__()
-        self.mods = list(mods)
-        for i, m in enumerate(self.mods):
+        for i, m in enumerate(mods):
             self._children[str(i)] = m
 
     def __iter__(self):
-        return iter(self.mods)
-
-    def __len__(self):
-        return len(self.mods)
-
-    def __getitem__(self, i):
-        return self.mods[i]
+        return iter(self._children.values())
 
 
 def set_trainable_by_prefix(params: list[Parameter], prefixes: tuple[str, ...]) -> None:

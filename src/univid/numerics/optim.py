@@ -19,11 +19,9 @@ class AdamW:
     """Betas (0.9, 0.999), eps 1e-8. Moments are kept, by position in `params`,
     only for parameters that required grad at construction. Stepping such a
     parameter without state is an error; frozen parameters are skipped and
-    stay bitwise unchanged. Each step reads `.grad` and replaces `.data`. A
-    `Parameter` starts with a zero gradient; `zero_grad` sets it to None, so
-    backward stores the first gradient rather than adding it to zeros, and a
-    step reads a gradient still None (the loss did not reach the parameter)
-    as zero."""
+    stay bitwise unchanged. Each step reads `.grad` and replaces `.data`;
+    `zero_grad` sets it to None, as a new `Parameter` has it, and a step reads
+    a gradient still None (the loss did not reach the parameter) as zero."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 

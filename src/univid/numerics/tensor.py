@@ -17,9 +17,11 @@ drops each job before it reports back, so no buffer outlives the call. A job
 runs in a copy of the caller's context, so `np.errstate`, a context variable
 since numpy 2.0, holds in both halves. An exception on the worker is raised
 in the caller once both halves have ended. The thread starts on first use,
-as a daemon; a forked child, or a caller whose wait for the worker was cut
-short by an exception, starts a new one. The engine still serves one calling
-thread at a time, as `_grad_enabled` assumes.
+as a daemon, and reads one inbox for the life of the process (a forked child
+starts its own). Each call hands it a job with a report queue of its own, so
+jobs run in order, and a wait cut short leaves its job to finish before the
+next starts. The engine serves one calling thread at a time, as
+`_grad_enabled` assumes.
 
 Every forward op checks its output for non-finite values, with one exception.
 The rearranging ops (reshape, transpose, slice, concat, window, take) only
@@ -119,26 +121,27 @@ def no_grad():
 # its one-frame ones (2**15 and 2**16) and perception requests' stay serial
 _SPLIT_FLOOR = 2 ** 17
 
-_worker: tuple | None = None  # its (jobs, reports) queues, once started
+_jobs: queue.SimpleQueue | None = None  # the worker's inbox, once started
 
 
-def _serve(jobs: queue.SimpleQueue, reports: queue.SimpleQueue) -> None:
-    """The worker thread: run each job and report its exception or None,
-    until it is sent None."""
-    while (job := jobs.get()) is not None:
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """The worker thread: run each `(job, report)` in turn and put the job's
+    exception, or None, on its own `report`."""
+    while True:
+        job, report = jobs.get()
         try:
             job()
             err = None
         except BaseException as e:  # the caller re-raises it
             err = e
         del job  # a finished job must not hold its buffers past the call
-        reports.put(err)
-        del err
+        report.put(err)
+        del err, report
 
 
 def _forget_worker() -> None:
-    global _worker
-    _worker = None
+    global _jobs
+    _jobs = None
 
 
 os.register_at_fork(after_in_child=_forget_worker)
@@ -148,21 +151,16 @@ def _beside(side, main) -> None:
     """Run `side()` on the worker, in a copy of the caller's context, while
     the caller runs `main()`; return once both have ended. An exception of
     `main` propagates, else one of `side` is raised here."""
-    global _worker
-    if _worker is None:
-        _worker = (queue.SimpleQueue(), queue.SimpleQueue())
-        threading.Thread(target=_serve, args=_worker, name="numerics-worker", daemon=True).start()
-    jobs, reports = _worker
-    jobs.put(functools.partial(contextvars.copy_context().run, side))
+    global _jobs
+    if _jobs is None:
+        _jobs = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(_jobs,), name="numerics-worker", daemon=True).start()
+    report = queue.SimpleQueue()
+    _jobs.put((functools.partial(contextvars.copy_context().run, side), report))
     try:
         main()
     finally:
-        try:
-            err = reports.get()
-        except BaseException:  # a wait cut short would leave its report to the next call
-            jobs.put(None)  # so this worker ends after its job, and the next call starts another
-            _worker = None
-            raise
+        err = report.get()
     if err is not None:
         raise err
 

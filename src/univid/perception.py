@@ -254,11 +254,11 @@ class CausalVideoVae(nx.Module):
         """`encode_batch` of one video: [T, 3, 32, 32] -> [T', 4, 8, 8]."""
         return self.encode_batch(np.asarray(video)[None])[0]
 
-    def decode(self, latent: Tensor | np.ndarray, frames: int | None = None) -> Tensor:
-        """`decode_batch` of one latent video: [T', 4, 8, 8] -> [frames, 3, 32, 32]."""
+    def decode(self, latent: Tensor | np.ndarray) -> Tensor:
+        """`decode_batch` of one latent video: [T', 4, 8, 8] -> [2T', 3, 32, 32]."""
         if not isinstance(latent, Tensor):
             latent = Tensor(np.asarray(latent, dtype=np.float32))
-        return self.decode_batch(nx.reshape(latent, (1, *latent.shape)), frames=frames)[0]
+        return self.decode_batch(nx.reshape(latent, (1, *latent.shape)))[0]
 
     # latent normalization for the flow-matching space
 

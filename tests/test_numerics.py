@@ -129,28 +129,47 @@ def test_a_worker_exception_reaches_the_caller_once_both_sides_end():
     assert nx.gelu(nx.Tensor(x)).numpy().tobytes() == gelu_plain(x, x)[0].tobytes()
 
 
-def test_a_wait_cut_short_leaves_no_report_to_the_next_call():
+def worker_threads():
+    return [t.name for t in threading.enumerate()].count("numerics-worker")
+
+
+def test_a_wait_cut_short_leaves_its_job_to_finish_on_the_one_worker():
     class Interrupted(Exception):
+        pass
+
+    class FirstSide(Exception):
+        pass
+
+    class SecondSide(Exception):
         pass
 
     def interrupt(signum, frame):
         raise Interrupted
 
+    events = []
+
+    def first():
+        time.sleep(0.3)
+        events.append("first ended")
+        raise FirstSide
+
+    def second():
+        events.append("second started")
+        raise SecondSide
+
     previous = signal.signal(signal.SIGALRM, interrupt)
     try:
         arm = functools.partial(signal.setitimer, signal.ITIMER_REAL, 0.05)  # fires while the caller waits
         with pytest.raises(Interrupted):
-            tz._beside(functools.partial(time.sleep, 0.3), arm)
+            tz._beside(first, arm)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    abandoned = [t for t in threading.enumerate() if t.name == "numerics-worker"]
-    ended = []
-    tz._beside(lambda: (time.sleep(0.05), ended.append("side")), lambda: None)
-    assert ended == ["side"]  # the interrupted job's report did not end this call
-    for t in abandoned:
-        t.join(5)
-        assert not t.is_alive()
+    assert events == [] and worker_threads() == 1  # the interrupted job still runs, on the one worker
+    with pytest.raises(SecondSide):  # this call's own report, not the interrupted job's
+        tz._beside(second, lambda: None)
+    assert events == ["first ended", "second started"]
+    assert worker_threads() == 1
 
 
 def test_the_worker_keeps_no_buffer_of_a_finished_job():
@@ -1539,12 +1558,13 @@ def test_cross_entropy_gradient_is_probs_minus_onehot_over_n():
     assert np.allclose(logits.grad, (probs - onehot) / n, atol=1e-12)
 
 
-def test_unreachable_parameter_grad_is_zero_filled():
+def test_a_parameter_has_no_gradient_until_backward_stores_one():
     used = nx.Parameter(np.ones(2, dtype=np.float32))
     unused = nx.Parameter(np.ones(2, dtype=np.float32))
-    loss = nx.sum_(used)
-    loss.backward()
-    assert np.array_equal(unused.grad, np.zeros(2, dtype=np.float32))
+    assert used.grad is None and unused.grad is None
+    nx.sum_(used).backward()
+    assert np.array_equal(used.grad, np.ones(2, dtype=np.float32))
+    assert unused.grad is None  # the loss does not reach it
 
 
 def test_module_names_are_unique_and_hierarchical():

@@ -57,7 +57,7 @@ def test_encode_decode_shapes(frames):
     z = encode(video(frames))
     assert z.shape == (t_lat, pc.LATENT_CHANNELS, pc.LATENT_SIZE, pc.LATENT_SIZE)
     with nx.no_grad():
-        assert vae().decode(z, frames=frames).shape == (frames, 3, pc.FRAME_SIZE, pc.FRAME_SIZE)
+        assert vae().decode_batch(z[None], frames=frames)[0].shape == (frames, 3, pc.FRAME_SIZE, pc.FRAME_SIZE)
         assert vae().decode(z).shape == (2 * t_lat, 3, pc.FRAME_SIZE, pc.FRAME_SIZE)
         batch = np.stack([video(frames, 1), video(frames, 2)])
         assert vae().decode_batch(vae().encode_batch(batch), frames=frames).shape == batch.shape
@@ -70,7 +70,7 @@ def test_shape_errors():
         vae().encode(np.zeros((8, 3, 16, 16), np.float32))
     latent = np.zeros((4, pc.LATENT_CHANNELS, pc.LATENT_SIZE, pc.LATENT_SIZE), np.float32)
     with pytest.raises(nx.ShapeError, match="vae_decode"):
-        vae().decode(latent, frames=3)  # 3 frames make 2 latent frames, not 4
+        vae().decode_batch(latent[None], frames=3)  # 3 frames make 2 latent frames, not 4
     with pytest.raises(nx.ShapeError, match="vae_decode"):
         vae().decode(latent[:, :3])
 

@@ -16,8 +16,10 @@ its tracer installs and uninstalls here as a traced benchmark run does.
 
 A keyword-only option matches a call by keyword name alone, whatever the call's
 callee, and a `**` splat passes no name. Calls in the function's own body do
-not count, so an option that a function only forwards to itself, or that only
-an unpassed option feeds, is flagged too.
+not count, and a call that forwards the enclosing function's own keyword-only
+option by its name counts only once that option is passed. So an option that
+a function only forwards to itself, or that only a chain or cycle of
+forwarding feeds, is flagged too.
 
 Every graph node, each tag that `numerics/tensor.py` passes to
 `Tensor._from_op`, has a finite-difference case in `tests/test_numerics.py`:
@@ -32,7 +34,6 @@ other parents."""
 import ast
 import importlib.util
 import operator
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,10 @@ RESERVED = {
 RESERVED_OPTIONS = {
     "TransformerBlock.__init__(cross_dim=)": "item 5: the decoder's cross-attention over clue tokens",
     "TransformerBlock.__call__(cond=)": "item 5: the clue tokens the decoder attends to",
+    "MultiHeadAttention.__init__(kv_dim=)": "item 5: the decoder's cross-attention keys from clue tokens",
+    "TransformerBlock.__call__(causal=)": "item 6: the backbone's causal self-attention",
+    "MultiHeadAttention.__call__(causal=)": "item 6: the backbone's causal self-attention",
+    "attention(causal=)": "item 6: the backbone's causal self-attention",
     "pretrain_frame_encoder(batch=)": "item 4: `univid pretrain` at tiny size",
     "pretrain_vae(batch=)": "item 4: `univid pretrain` at tiny size",
     "pretrain_vae(stat_videos=)": "item 4: `univid pretrain` at tiny size",
@@ -223,23 +228,42 @@ def functions(node: ast.AST, prefix: str = ""):
             yield from functions(child, prefix)
 
 
-def keywords_passed(node: ast.AST) -> Counter:
-    """The number of calls under `node` that pass each keyword by name."""
-    return Counter(kw.arg for call in ast.walk(node) if isinstance(call, ast.Call) for kw in call.keywords if kw.arg)
+def keyword_passes(node: ast.AST, enclosing: tuple = ()):
+    """(keyword, value, enclosing functions) of each keyword passed by name at
+    a call under `node`; the value is the name it reads, or None."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            for kw in child.keywords:
+                if kw.arg:
+                    yield kw.arg, kw.value.id if isinstance(kw.value, ast.Name) else None, enclosing
+        yield from keyword_passes(child, enclosing + (child,) if isinstance(child, ast.FunctionDef) else enclosing)
 
 
 def unpassed_options(trees: dict[str, ast.Module], reserved) -> tuple[list[str], list[str]]:
     """Given modules by path relative to the repo root, the keyword-only
     parameters of functions under src/ that no call in program code outside
     the function passes by name and that are not `reserved`, and the
-    `reserved` options that are passed or gone."""
-    passed = sum((keywords_passed(tree) for path, tree in trees.items() if Path(path).parts[0] in PROGRAM_ROOTS),
-                 Counter())
-    unpassed = {f"{name}({arg.arg}=)": path for path, tree in trees.items() if Path(path).parts[0] == "src"
-                for name, node in functions(tree) for arg in node.args.kwonlyargs
-                if passed[arg.arg] == keywords_passed(node)[arg.arg]}
-    return ([f"{path}: {option}" for option, path in unpassed.items() if option not in reserved],
-            sorted(set(reserved) - set(unpassed)))
+    `reserved` options that are passed or gone. A call that passes one of its
+    enclosing function's own keyword-only parameters forwards that option,
+    and counts only once that option is passed, to a fixpoint."""
+    options = {f"{name}({arg.arg}=)": (path, node, arg.arg) for path, tree in trees.items()
+               if Path(path).parts[0] == "src" for name, node in functions(tree) for arg in node.args.kwonlyargs}
+    owner = {(node, arg): option for option, (_, node, arg) in options.items()}
+
+    def forwarded(value, enclosing):
+        fn = next((fn for fn in reversed(enclosing) if any(a.arg == value for a in fn.args.kwonlyargs)), None)
+        return owner.get((fn, value))
+
+    passes = [(kw, forwarded(value, enclosing), enclosing) for path, tree in trees.items()
+              if Path(path).parts[0] in PROGRAM_ROOTS for kw, value, enclosing in keyword_passes(tree)]
+    unpassed, previous = set(options), None
+    while unpassed != previous:
+        previous = unpassed
+        unpassed = {option for option in previous if not any(
+            kw == options[option][2] and options[option][1] not in enclosing and source not in previous
+            for kw, source, enclosing in passes)}
+    return ([f"{path}: {option}" for option, (path, _, _) in options.items() if option in unpassed
+             and option not in reserved], sorted(set(reserved) - unpassed))
 
 
 def test_every_keyword_option_is_passed():
@@ -254,14 +278,30 @@ def options_on(sources: dict[str, str], reserved=()) -> tuple[list[str], list[st
 
 
 def test_option_rule_skips_the_functions_own_calls():
-    # `inner` is passed its option by `outer`, which only a test passes; `walk` only by itself
+    # `inner` is passed its option only by `outer` forwarding its own, which only a test
+    # passes; `walk` only by itself
     sources = {OP: "def inner(x, *, bias=None):\n    return x\n\n"
                    "def outer(x, *, bias=None):\n    return inner(x, bias=bias)\n\n"
                    "def walk(x, *, depth=0):\n    return walk(x, depth=depth + 1) if depth < 3 else x\n",
                "tests/test_ops.py": "from univid.ops import outer, walk\n\nouter(1, bias=2)\nwalk(1, depth=1)\n"}
-    assert options_on(sources) == ([f"{OP}: outer(bias=)", f"{OP}: walk(depth=)"], [])
+    assert options_on(sources) == ([f"{OP}: inner(bias=)", f"{OP}: outer(bias=)", f"{OP}: walk(depth=)"], [])
     sources["perfbench/run.py"] = "from univid.ops import outer, walk\n\nouter(1, bias=2)\nwalk(1, depth=1)\n"
     assert options_on(sources) == ([], [])
+
+
+def test_option_rule_needs_a_pass_that_no_forwarding_cycle_makes():
+    # each of three functions forwards its `causal` to the next, the last back to the first
+    cycle = {OP: "def a(x, *, causal=False):\n    return b(x, causal=causal)\n\n"
+                 "def b(x, *, causal=False):\n    return c(x, causal=causal)\n\n"
+                 "def c(x, *, causal=False):\n    return a(x, causal=causal) if x else x\n"}
+    assert options_on(cycle) == ([f"{OP}: {f}(causal=)" for f in "abc"], [])
+    cycle["tests/test_ops.py"] = "from univid.ops import a\n\na(1, causal=True)\n"
+    assert options_on(cycle) == ([f"{OP}: {f}(causal=)" for f in "abc"], [])  # a test is not a caller
+    # an option forwarded under another keyword feeds the cycle only once it is passed itself
+    cycle["src/univid/user.py"] = "from .ops import a\n\ndef mask(x, *, masked=False):\n    return a(x, causal=masked)\n"
+    assert options_on(cycle) == ([f"{OP}: {f}(causal=)" for f in "abc"] + ["src/univid/user.py: mask(masked=)"], [])
+    cycle["perfbench/run.py"] = "from univid.user import mask\n\nmask(1, masked=True)\n"
+    assert options_on(cycle) == ([], [])
 
 
 def test_option_rule_matches_keywords_by_name():
